@@ -155,4 +155,19 @@ echo "== mutation mini-sweep (3 bugs x 3 chaos families) =="
 # non-zero unless every bug is still detected with no worker panic.
 cargo run --release --example chaos -- mutation 0xc3
 
+echo "== oracle-tax benchmark (self-tests + 3 s smoke per workload) =="
+# The benchmark package's own tests, then a short run of every workload.
+# A run reports failures in its result object (the last stdout line), not
+# in its exit code: fail unless it says "correct": true and "failed": 0.
+cargo test --offline --manifest-path oraclebench/Cargo.toml
+for WORKLOAD in e12-random android-churn diff-matrix; do
+    RESULT="$(cargo run --release --quiet --offline --manifest-path oraclebench/Cargo.toml -- \
+        --workload "$WORKLOAD" --seed 1 --seconds 3 --trace 0 | tail -n 1)"
+    echo "  $WORKLOAD: $RESULT"
+    if ! grep -q '"correct": true' <<<"$RESULT" || ! grep -Eq '"failed": 0[,}]' <<<"$RESULT"; then
+        echo "oraclebench $WORKLOAD smoke run was not correct and failure-free" >&2
+        exit 1
+    fi
+done
+
 echo "ci.sh: all green"

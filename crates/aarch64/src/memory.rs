@@ -11,23 +11,30 @@
 //! tests (and the linear-map-overlap reproduction) can observe the
 //! hypervisor touching device memory it never intended to.
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::sync::{Mutex, RwLock};
 
-use crate::addr::{PhysAddr, PAGE_MASK, PAGE_SIZE};
+use crate::addr::{PhysAddr, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, PA_BITS, PA_LIMIT};
 use crate::desc::Pte;
 
-/// Dirty-page tracking: a generational log of every page the simulated
-/// system writes.
+/// Dirty-descriptor tracking: a generational log of every page the
+/// simulated system writes, and of which 8-byte descriptors within it.
 ///
 /// Consumers (the ghost oracle's incremental abstraction cache) take a
 /// [`WriteLog::snapshot_generation`] *before* reading derived state, and
 /// later ask [`WriteLog::dirty_since`] that snapshot to learn which pages
-/// may have invalidated it. Writes racing with the read land at or after
-/// the snapshot generation and so are re-reported next time — the log
-/// over-approximates, never under-reports.
+/// — and which descriptors of them — may have invalidated it. Writes
+/// racing with the read land at or after the snapshot generation and so
+/// are re-reported next time — the log over-approximates, never
+/// under-reports.
+///
+/// The log keeps one 16-byte entry per page per generation. An entry
+/// names up to [`DirtyDescs::MAX`] written descriptor indices; a further
+/// distinct index, or any [`PhysMem::write_bytes`] or
+/// [`PhysMem::zero_page`], marks the whole page written.
 ///
 /// Tracking is off by default (one relaxed atomic load per write); the
 /// instrumented machine switches it on when its hooks want dirty
@@ -44,16 +51,137 @@ pub struct WriteLog {
 struct WriteLogInner {
     /// Current generation; bumped by every snapshot.
     generation: u64,
-    /// `(generation, pfn)` in non-decreasing generation order.
-    entries: VecDeque<(u64, u64)>,
-    /// Pages already logged in the current generation (dedup).
-    seen: HashSet<u64>,
+    /// Packed entries in non-decreasing generation order.
+    entries: VecDeque<LogEntry>,
+    /// Entries ever pushed: the absolute position of `entries[i]` is
+    /// `pushed - entries.len() + i`.
+    pushed: u64,
+    /// Pages already logged in the current generation, with the absolute
+    /// position of their entry (dedup, and where to add indices).
+    seen: HashMap<u64, u64>,
     /// Snapshots older than this have lost entries to trimming.
     trimmed_before: u64,
 }
 
 /// Cap on retained log entries; oldest half is dropped on overflow.
 const WRITE_LOG_CAP: usize = 1 << 16;
+
+/// The descriptors of one page written since a snapshot: up to
+/// [`DirtyDescs::MAX`] distinct indices, or the whole page.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DirtyDescs {
+    /// Number of valid `idx` slots, or [`Self::WHOLE_LEN`].
+    len: u8,
+    idx: [u16; DirtyDescs::MAX],
+}
+
+impl DirtyDescs {
+    /// Distinct descriptor indices tracked before a page counts as
+    /// written whole.
+    pub const MAX: usize = 4;
+    const WHOLE_LEN: u8 = 7;
+
+    /// The whole page counts as written.
+    pub const WHOLE: DirtyDescs = DirtyDescs {
+        len: Self::WHOLE_LEN,
+        idx: [0; Self::MAX],
+    };
+
+    /// Exactly descriptor `idx` was written.
+    pub fn one(idx: u16) -> DirtyDescs {
+        let mut d = DirtyDescs {
+            len: 1,
+            idx: [0; Self::MAX],
+        };
+        d.idx[0] = idx;
+        d
+    }
+
+    /// Returns `true` if the whole page counts as written.
+    pub fn is_whole(&self) -> bool {
+        self.len == Self::WHOLE_LEN
+    }
+
+    /// The written descriptor indices, in first-write order, or `None`
+    /// when the whole page counts as written.
+    pub fn indices(&self) -> Option<&[u16]> {
+        (!self.is_whole()).then(|| &self.idx[..self.len as usize])
+    }
+
+    /// Adds descriptor `idx`; a distinct index past [`Self::MAX`] marks
+    /// the whole page.
+    pub fn insert(&mut self, idx: u16) {
+        let Some(have) = self.indices() else { return };
+        if have.contains(&idx) {
+            return;
+        }
+        if have.len() == Self::MAX {
+            *self = Self::WHOLE;
+        } else {
+            self.idx[self.len as usize] = idx;
+            self.len += 1;
+        }
+    }
+
+    /// Adds every descriptor of `other`.
+    pub fn union(&mut self, other: DirtyDescs) {
+        match other.indices() {
+            Some(idx) => idx.iter().for_each(|&i| self.insert(i)),
+            None => *self = Self::WHOLE,
+        }
+    }
+}
+
+/// One log entry packed into 16 bytes: bits 0..36 hold the pfn (physical
+/// memory lies below `PA_LIMIT`), 36..39 the [`DirtyDescs`] length,
+/// 39..75 its four 9-bit indices and 75..128 the generation.
+#[derive(Clone, Copy, Debug)]
+struct LogEntry(u128);
+
+impl LogEntry {
+    const PFN_BITS: u32 = (PA_BITS - PAGE_SHIFT) as u32;
+    const LEN_SHIFT: u32 = Self::PFN_BITS;
+    const LEN_BITS: u32 = 3;
+    const IDX_SHIFT: u32 = Self::LEN_SHIFT + Self::LEN_BITS;
+    const IDX_BITS: u32 = 9;
+    const GEN_SHIFT: u32 = Self::IDX_SHIFT + Self::IDX_BITS * DirtyDescs::MAX as u32;
+    const GEN_BITS: u32 = 128 - Self::GEN_SHIFT;
+
+    fn new(generation: u64, pfn: u64, descs: DirtyDescs) -> LogEntry {
+        debug_assert!(pfn >> Self::PFN_BITS == 0, "pfn {pfn:#x} beyond PA_LIMIT");
+        let mut e = LogEntry((u128::from(generation) << Self::GEN_SHIFT) | u128::from(pfn));
+        e.set_descs(descs);
+        e
+    }
+
+    fn generation(self) -> u64 {
+        (self.0 >> Self::GEN_SHIFT) as u64
+    }
+
+    fn pfn(self) -> u64 {
+        (self.0 & ((1 << Self::PFN_BITS) - 1)) as u64
+    }
+
+    fn descs(self) -> DirtyDescs {
+        let mut d = DirtyDescs {
+            len: (self.0 >> Self::LEN_SHIFT) as u8 & ((1 << Self::LEN_BITS) - 1),
+            idx: [0; DirtyDescs::MAX],
+        };
+        for (k, slot) in d.idx.iter_mut().enumerate() {
+            *slot = (self.0 >> (Self::IDX_SHIFT + Self::IDX_BITS * k as u32)) as u16 & 0x1ff;
+        }
+        d
+    }
+
+    fn set_descs(&mut self, d: DirtyDescs) {
+        let mut packed = u128::from(d.len);
+        for (k, &i) in d.idx.iter().enumerate() {
+            packed |= u128::from(i) << (Self::LEN_BITS + Self::IDX_BITS * k as u32);
+        }
+        let mask = ((1u128 << (Self::GEN_SHIFT - Self::LEN_SHIFT)) - 1) << Self::LEN_SHIFT;
+        self.0 = (self.0 & !mask) | (packed << Self::LEN_SHIFT);
+    }
+}
 
 impl WriteLog {
     /// Returns `true` if writes are being recorded.
@@ -94,15 +222,20 @@ impl WriteLog {
     /// read — satisfies `dirty_since(returned)`.
     pub fn snapshot_generation(&self) -> u64 {
         let mut l = self.inner.lock();
+        assert!(
+            l.generation >> LogEntry::GEN_BITS == 0,
+            "write-log generation overflow"
+        );
         l.generation += 1;
         l.seen.clear();
         l.generation
     }
 
-    /// The set of pages written at or after snapshot `gen`, or `None` if
-    /// the log cannot answer (tracking off, or `gen` trimmed away) and the
-    /// caller must assume everything is dirty.
-    pub fn dirty_since(&self, gen: u64) -> Option<BTreeSet<u64>> {
+    /// The pages written at or after snapshot `gen`, each with the
+    /// descriptors written in it, or `None` if the log cannot answer
+    /// (tracking off, or `gen` trimmed away) and the caller must assume
+    /// everything is dirty.
+    pub fn dirty_since(&self, gen: u64) -> Option<BTreeMap<u64, DirtyDescs>> {
         if !self.enabled() {
             return None;
         }
@@ -111,30 +244,53 @@ impl WriteLog {
             return None;
         }
         // Entries are in generation order: the answer is a suffix.
-        Some(
-            l.entries
-                .iter()
-                .rev()
-                .take_while(|&&(g, _)| g >= gen)
-                .map(|&(_, pfn)| pfn)
-                .collect(),
-        )
+        let from = l.entries.partition_point(|e| e.generation() < gen);
+        let mut out: BTreeMap<u64, DirtyDescs> = BTreeMap::new();
+        for e in l.entries.range(from..) {
+            match out.entry(e.pfn()) {
+                Entry::Vacant(v) => {
+                    v.insert(e.descs());
+                }
+                Entry::Occupied(mut o) => o.get_mut().union(e.descs()),
+            }
+        }
+        Some(out)
     }
 
-    fn record(&self, pfn: u64) {
-        if !self.enabled() {
-            return;
+    /// Logs a write to page `pfn`: to descriptor `desc`, or (`None`) to
+    /// the whole page. Inlined down to the `enabled` test, which is all
+    /// an untracked write pays.
+    #[inline]
+    fn record(&self, pfn: u64, desc: Option<u16>) {
+        if self.enabled() {
+            self.record_enabled(pfn, desc);
         }
+    }
+
+    fn record_enabled(&self, pfn: u64, desc: Option<u16>) {
         let mut l = self.inner.lock();
-        if !l.seen.insert(pfn) {
-            return;
+        let l = &mut *l;
+        let base = l.pushed - l.entries.len() as u64;
+        let written = desc.map_or(DirtyDescs::WHOLE, DirtyDescs::one);
+        if let Some(&at) = l.seen.get(&pfn) {
+            // A trimmed-away entry's snapshots are unanswerable anyway;
+            // only a retained one is worth extending.
+            if at >= base {
+                let e = &mut l.entries[(at - base) as usize];
+                let mut d = e.descs();
+                d.union(written);
+                e.set_descs(d);
+                return;
+            }
         }
         let g = l.generation;
-        l.entries.push_back((g, pfn));
+        l.seen.insert(pfn, l.pushed);
+        l.entries.push_back(LogEntry::new(g, pfn, written));
+        l.pushed += 1;
         if l.entries.len() > WRITE_LOG_CAP {
             l.entries.drain(..WRITE_LOG_CAP / 2);
             // The oldest retained generation may now be incomplete.
-            l.trimmed_before = l.entries.front().map_or(g + 1, |&(g, _)| g + 1);
+            l.trimmed_before = l.entries.front().map_or(g + 1, |e| e.generation() + 1);
         }
     }
 }
@@ -220,7 +376,8 @@ impl PhysMem {
     ///
     /// # Panics
     ///
-    /// Panics if any regions overlap or are not page aligned.
+    /// Panics if any regions overlap, are not page aligned, or extend
+    /// past [`PA_LIMIT`].
     pub fn new(regions: Vec<MemRegion>) -> Self {
         for r in &regions {
             assert!(
@@ -228,6 +385,10 @@ impl PhysMem {
                 "misaligned region {r:?}"
             );
         }
+        assert!(
+            regions.iter().all(|r| r.end().bits() <= PA_LIMIT),
+            "region beyond the {PA_BITS}-bit physical address space"
+        );
         let mut sorted = regions.clone();
         sorted.sort_by_key(|r| r.base.bits());
         for w in sorted.windows(2) {
@@ -335,7 +496,8 @@ impl PhysMem {
     pub fn write_u64(&self, pa: PhysAddr, value: u64) -> Result<(), BusError> {
         assert!(pa.bits().is_multiple_of(8), "misaligned u64 write at {pa}");
         self.note_access(pa, true)?;
-        self.write_log.record(pa.pfn());
+        self.write_log
+            .record(pa.pfn(), Some((pa.page_offset() / 8) as u16));
         let mut pages = self.pages.write();
         let page = pages
             .entry(pa.pfn())
@@ -376,7 +538,7 @@ impl PhysMem {
             let a = pa.wrapping_add(i as u64);
             if a.page_offset() == 0 || i == 0 {
                 self.note_access(a, true)?;
-                self.write_log.record(a.pfn());
+                self.write_log.record(a.pfn(), None);
             }
             let page = pages
                 .entry(a.pfn())
@@ -393,7 +555,7 @@ impl PhysMem {
     /// Returns [`BusError`] for addresses outside every region.
     pub fn zero_page(&self, pa: PhysAddr) -> Result<(), BusError> {
         self.note_access(pa, true)?;
-        self.write_log.record(pa.pfn());
+        self.write_log.record(pa.pfn(), None);
         // Dropping the backing restores zero-fill semantics cheaply.
         self.pages.write().remove(&pa.pfn());
         Ok(())
@@ -565,10 +727,69 @@ mod tests {
         m.read_u64(PhysAddr::new(0x4000_2000)).unwrap();
         let dirty = m.write_log().dirty_since(snap).unwrap();
         assert_eq!(
-            dirty.into_iter().collect::<Vec<_>>(),
+            dirty.keys().copied().collect::<Vec<_>>(),
             vec![0x40000, 0x40001]
         );
+        assert_eq!(dirty[&0x40000].indices(), Some(&[0u16, 1][..]));
         assert_eq!(m.write_log().len(), 2, "same-page writes deduplicated");
+    }
+
+    #[test]
+    fn write_pte_records_its_descriptor_index() {
+        let m = mem();
+        m.write_log().set_enabled(true);
+        let snap = m.write_log().snapshot_generation();
+        let table = PhysAddr::new(0x4001_0000);
+        m.write_pte(table, 511, Pte(1)).unwrap();
+        m.write_pte(table, 7, Pte(1)).unwrap();
+        m.write_pte(table, 511, Pte(3)).unwrap();
+        let dirty = m.write_log().dirty_since(snap).unwrap();
+        assert_eq!(dirty[&table.pfn()].indices(), Some(&[511u16, 7][..]));
+        assert!(!dirty[&table.pfn()].is_whole());
+    }
+
+    #[test]
+    fn a_fifth_distinct_index_marks_the_whole_page() {
+        let m = mem();
+        m.write_log().set_enabled(true);
+        let snap = m.write_log().snapshot_generation();
+        let table = PhysAddr::new(0x4001_0000);
+        for idx in 0..DirtyDescs::MAX {
+            m.write_pte(table, idx, Pte(1)).unwrap();
+        }
+        // Rewriting a tracked index keeps the page descriptor-granular...
+        m.write_pte(table, 0, Pte(2)).unwrap();
+        let dirty = m.write_log().dirty_since(snap).unwrap();
+        assert_eq!(dirty[&table.pfn()].indices().map(<[u16]>::len), Some(4));
+        // ...a fifth distinct one does not.
+        m.write_pte(table, 100, Pte(1)).unwrap();
+        let dirty = m.write_log().dirty_since(snap).unwrap();
+        assert!(dirty[&table.pfn()].is_whole());
+        assert_eq!(m.write_log().len(), 1);
+    }
+
+    #[test]
+    fn generations_merge_into_one_answer_per_page() {
+        let m = mem();
+        m.write_log().set_enabled(true);
+        let table = PhysAddr::new(0x4001_0000);
+        let snap = m.write_log().snapshot_generation();
+        m.write_pte(table, 1, Pte(1)).unwrap();
+        m.write_log().snapshot_generation();
+        m.write_pte(table, 2, Pte(1)).unwrap();
+        m.write_pte(table, 1, Pte(2)).unwrap();
+        // One entry per page per generation...
+        assert_eq!(m.write_log().len(), 2);
+        // ...and one merged answer per page.
+        let dirty = m.write_log().dirty_since(snap).unwrap();
+        assert_eq!(dirty.len(), 1);
+        assert_eq!(dirty[&table.pfn()].indices(), Some(&[1u16, 2][..]));
+        // Descriptor sets union into the whole page past the cap.
+        let mut d = DirtyDescs::one(1);
+        d.union(DirtyDescs::WHOLE);
+        assert!(d.is_whole());
+        d.insert(3);
+        assert!(d.is_whole());
     }
 
     #[test]
@@ -584,6 +805,7 @@ mod tests {
         assert_eq!(m.write_log().dirty_since(g2).unwrap().len(), 1);
         // And the older snapshot still sees both generations' entries.
         assert_eq!(m.write_log().dirty_since(g1).unwrap().len(), 1);
+        assert_eq!(m.write_log().len(), 2);
     }
 
     #[test]
@@ -594,11 +816,14 @@ mod tests {
         // A byte write straddling a page boundary dirties both pages.
         m.write_bytes(PhysAddr::new(0x4000_0ffc), &[0xff; 8])
             .unwrap();
+        m.write_pte(PhysAddr::new(0x4000_3000), 4, Pte(1)).unwrap();
         m.zero_page(PhysAddr::new(0x4000_3000)).unwrap();
         let dirty = m.write_log().dirty_since(snap).unwrap();
-        assert!(dirty.contains(&0x40000));
-        assert!(dirty.contains(&0x40001));
-        assert!(dirty.contains(&0x40003));
+        // Neither kind of write names descriptors: each marks its pages
+        // whole, even over an earlier descriptor write.
+        assert!(dirty[&0x40000].is_whole());
+        assert!(dirty[&0x40001].is_whole());
+        assert!(dirty[&0x40003].is_whole());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Incremental abstraction: caching page-table interpretations between
-//! lock events and re-interpreting only dirtied subtrees.
+//! lock events and re-interpreting only the descriptors that were written.
 //!
 //! Full interpretation ([`interpret_pgtable`]) walks the entire tree at
 //! every lock acquisition *and* release — the dominant per-event cost of
@@ -9,36 +9,52 @@
 //! [`TableMeta`] locating every table node, and on the next event:
 //!
 //! 1. asks the [`WriteLog`](pkvm_aarch64::memory::WriteLog) which pages
-//!    were written since the cached snapshot;
+//!    — and which descriptors of them — were written since the cached
+//!    snapshot;
 //! 2. intersects them with the cached table footprint — writes to
 //!    non-table pages cannot change the interpretation;
-//! 3. re-interprets only the subtrees rooted at dirtied table nodes
-//!    (keeping the shallowest when nested) and splices each delta over
-//!    its span in the cached map ([`Mapping::splice`]);
+//! 3. re-decodes only the written descriptors (a descriptor that links a
+//!    table brings its whole subtree), or the whole table node when the
+//!    log marked the page written whole; keeps the shallowest replay
+//!    roots when spans nest — on an equal span a descriptor beats the
+//!    table node it links — and splices each delta over its span in the
+//!    cached map ([`Mapping::splice`](crate::mapping::Mapping::splice));
 //! 4. falls back to a full walk when the root moved, the log was trimmed,
-//!    the dirty ratio is high, or a replayed subtree reports an anomaly.
+//!    the dirty ratio is high, or a replayed descriptor reports an
+//!    anomaly.
+//!
+//! The host entry also memoises the host's `annot`/`shared` partition
+//! (`HostPartition`) of its interpretation, so one invalidation path
+//! covers both: a clean hit reuses it, an incremental serve re-derives it
+//! over the spliced spans only, and a full walk derives it afresh. Only
+//! anomaly-free derivations are memoised; a span whose derivation finds
+//! an anomaly falls back to the full derivation, so anomaly reports are
+//! those of the non-incremental oracle.
 //!
 //! ## Why the dirty intersection is sound
 //!
 //! The cached snapshot generation is taken *before* the walk it
 //! describes, so writes racing with that walk are re-reported next time
 //! (the log over-approximates). A table node leaves or joins the tree
-//! only by a PTE write in its (cached) parent node, so a stale footprint
+//! only by a write to the descriptor linking it in its (cached) parent
+//! node. That descriptor's span is the node's span, so a stale footprint
 //! entry whose page was re-used is always shadowed by a dirtied ancestor
-//! and dropped by the shallowest-subtree filter. Anomalous states are
-//! never cached: every event over them takes the full walk and re-reports
-//! the anomalies, exactly like the non-incremental oracle.
+//! descriptor and dropped by the shallowest-root filter. Anomalous
+//! states are never cached: every event over them takes the full walk
+//! and re-reports the anomalies, exactly like the non-incremental oracle.
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
-use pkvm_aarch64::addr::{PhysAddr, PAGE_SIZE};
+use pkvm_aarch64::addr::{level_pages, PhysAddr, LEAF_LEVEL, PAGE_SIZE};
 use pkvm_aarch64::attrs::Stage;
 use pkvm_aarch64::memory::PhysMem;
 
 use crate::abstraction::{
-    interpret_pgtable_with_meta, interpret_subtree, table_span_pages, Anomaly, TableMeta,
+    interpret_descriptor, interpret_pgtable_with_meta, interpret_subtree, partition_host,
+    table_span_pages, Anomaly, HostPartition, TableMeta,
 };
-use crate::state::AbstractPgtable;
+use crate::state::{AbstractPgtable, GhostGlobals};
 
 /// Which component's interpretation a cache entry holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -52,7 +68,7 @@ pub enum CacheKey {
 }
 
 /// If more than one table in `4^-1` of the footprint is dirty, replaying
-/// subtrees stops paying; take the full walk.
+/// stops paying; take the full walk.
 const DIRTY_RATIO_DEN: usize = 4;
 
 /// Counters describing how the cache resolved requests.
@@ -60,10 +76,15 @@ const DIRTY_RATIO_DEN: usize = 4;
 pub struct CacheStats {
     /// Served unchanged (no dirty table pages).
     pub clean_hits: u64,
-    /// Served by replaying dirty subtrees into the cached map.
+    /// Served by replaying dirty descriptors and subtrees into the cached
+    /// map.
     pub incremental: u64,
-    /// Subtrees replayed across all incremental serves.
+    /// Replay roots (written descriptors, or whole table nodes the log
+    /// marked written whole) replayed across all incremental serves.
     pub subtrees_replayed: u64,
+    /// Written descriptors re-decoded one by one across all incremental
+    /// serves (whole-node replays are not counted here).
+    pub descriptors_replayed: u64,
     /// Full walks: no cache entry yet.
     pub full_cold: u64,
     /// Full walks: the root changed.
@@ -105,6 +126,43 @@ struct CacheEntry {
     gen: u64,
     interp: AbstractPgtable,
     meta: TableMeta,
+    /// Host entry only: the anomaly-free partition of `interp`, once
+    /// derived.
+    host: Option<HostPartition>,
+}
+
+/// One replay root: descriptor `desc` of the table node `table`, or the
+/// whole node when `desc` is `None`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Root {
+    /// Pfn of the table node.
+    table: u64,
+    /// Level of the table node.
+    level: u8,
+    /// Input address the node's span starts at.
+    table_ia: u64,
+    desc: Option<u16>,
+}
+
+impl Root {
+    /// The input range the root re-interprets: `(ia, nr_pages)`.
+    fn span(&self) -> (u64, u64) {
+        match self.desc {
+            Some(i) => {
+                let pages = level_pages(self.level);
+                (self.table_ia | (u64::from(i) * pages * PAGE_SIZE), pages)
+            }
+            None => (self.table_ia, table_span_pages(self.level)),
+        }
+    }
+}
+
+/// How a request was served.
+enum Served {
+    Clean,
+    /// Incremental: the spans `(ia, nr_pages)` whose maplets were spliced.
+    Replayed(Vec<(u64, u64)>),
+    Full,
 }
 
 /// The per-oracle incremental abstraction cache.
@@ -150,53 +208,107 @@ impl AbsCache {
         key: CacheKey,
         anomalies: &mut Vec<Anomaly>,
     ) -> AbstractPgtable {
+        self.serve(mem, stage, root, key, anomalies).0
+    }
+
+    /// The host stage 2 rooted at `root`: its interpretation, as
+    /// [`Self::interp`] with [`CacheKey::Host`], and its partition, as
+    /// [`partition_host`] over that interpretation would derive it.
+    /// Appends anomalies exactly as interpretation followed by
+    /// [`partition_host`] would.
+    pub(crate) fn host(
+        &mut self,
+        mem: &PhysMem,
+        root: PhysAddr,
+        globals: &GhostGlobals,
+        anomalies: &mut Vec<Anomaly>,
+    ) -> (AbstractPgtable, HostPartition) {
+        let (interp, served) = self.serve(mem, Stage::Stage2, root, CacheKey::Host, anomalies);
+        let entry = self.entries.get_mut(&CacheKey::Host);
+        if let Some(memo) = entry.and_then(|e| e.host.as_mut()) {
+            match served {
+                Served::Clean => return (interp, memo.clone()),
+                Served::Replayed(spans) => {
+                    // Re-derive over the spliced spans only. The memo was
+                    // anomaly-free and the rest is unchanged, so the
+                    // result is exact unless a span finds an anomaly.
+                    let mut span_anomalies = Vec::new();
+                    for &(ia, nr) in &spans {
+                        let p = partition_host(
+                            interp.mapping.clipped(ia, nr),
+                            globals,
+                            &mut span_anomalies,
+                        );
+                        memo.annot.splice(ia, nr, p.annot.iter().copied());
+                        memo.shared.splice(ia, nr, p.shared.iter().copied());
+                    }
+                    if span_anomalies.is_empty() {
+                        return (interp, memo.clone());
+                    }
+                }
+                Served::Full => {}
+            }
+        }
+        // Derive in full, reporting anomalies in interpretation order;
+        // memoise only an anomaly-free result.
+        let before = anomalies.len();
+        let part = partition_host(interp.mapping.iter().copied(), globals, anomalies);
+        if let Some(e) = self.entries.get_mut(&CacheKey::Host) {
+            e.host = (anomalies.len() == before).then(|| part.clone());
+        }
+        (interp, part)
+    }
+
+    fn serve(
+        &mut self,
+        mem: &PhysMem,
+        stage: Stage,
+        root: PhysAddr,
+        key: CacheKey,
+        anomalies: &mut Vec<Anomaly>,
+    ) -> (AbstractPgtable, Served) {
         let log = mem.write_log();
         // Snapshot before reading any table state: writes racing with
         // this interpretation will be at or after `snap` and therefore
         // re-reported by the next dirty_since query.
         let snap = log.snapshot_generation();
 
-        match self.plan(mem, stage, root, key) {
+        let reason = match self.plan(mem, stage, root, key) {
             Plan::Clean => match self.entries.get_mut(&key) {
                 Some(e) => {
                     self.stats.clean_hits += 1;
                     e.gen = snap;
-                    e.interp.clone()
+                    return (e.interp.clone(), Served::Clean);
                 }
                 // The plan raced with an eviction (possible only under
                 // chaos/containment, where a contained panic can leave the
                 // cache partially updated): degrade to a full walk rather
                 // than panic in the oracle hot path.
-                None => {
-                    self.stats.full_cold += 1;
-                    self.full_walk(mem, stage, root, key, snap, anomalies)
-                }
+                None => FullReason::Cold,
             },
-            Plan::Replay(subtrees) => {
-                match self.replay(mem, key, snap, &subtrees) {
-                    Some(interp) => {
-                        self.stats.incremental += 1;
-                        self.stats.subtrees_replayed += subtrees.len() as u64;
-                        interp
-                    }
-                    None => {
-                        // A replayed subtree was anomalous; take the full
-                        // walk so anomalies are reported once, coherently.
-                        self.stats.full_anomaly += 1;
-                        self.full_walk(mem, stage, root, key, snap, anomalies)
-                    }
+            Plan::Replay(roots) => match self.replay(mem, key, snap, &roots) {
+                Some((interp, spans)) => {
+                    self.stats.incremental += 1;
+                    self.stats.subtrees_replayed += roots.len() as u64;
+                    self.stats.descriptors_replayed +=
+                        roots.iter().filter(|r| r.desc.is_some()).count() as u64;
+                    return (interp, Served::Replayed(spans));
                 }
-            }
-            Plan::Full(reason) => {
-                *match reason {
-                    FullReason::Cold => &mut self.stats.full_cold,
-                    FullReason::RootChanged => &mut self.stats.full_root_changed,
-                    FullReason::LogUnavailable => &mut self.stats.full_log_unavailable,
-                    FullReason::DirtyRatio => &mut self.stats.full_dirty_ratio,
-                } += 1;
-                self.full_walk(mem, stage, root, key, snap, anomalies)
-            }
-        }
+                // A replayed root was anomalous; take the full walk so
+                // anomalies are reported once, coherently.
+                None => FullReason::Anomaly,
+            },
+            Plan::Full(reason) => reason,
+        };
+        *match reason {
+            FullReason::Cold => &mut self.stats.full_cold,
+            FullReason::RootChanged => &mut self.stats.full_root_changed,
+            FullReason::LogUnavailable => &mut self.stats.full_log_unavailable,
+            FullReason::DirtyRatio => &mut self.stats.full_dirty_ratio,
+            FullReason::Anomaly => &mut self.stats.full_anomaly,
+        } += 1;
+        let interp = self.full_walk(mem, stage, root, key, snap, anomalies);
+        (interp, Served::Full)
     }
 
     fn plan(&self, mem: &PhysMem, stage: Stage, root: PhysAddr, key: CacheKey) -> Plan {
@@ -211,86 +323,107 @@ impl AbsCache {
         };
         // Only writes to pages that were table nodes can change the
         // interpretation; everything else is data.
-        let mut dirty_tables: Vec<(u64, u8, u64)> = dirty
-            .iter()
-            .filter_map(|pfn| e.meta.get(pfn).map(|&(level, ia)| (*pfn, level, ia)))
-            .collect();
-        if dirty_tables.is_empty() {
+        let mut dirty_tables = 0;
+        let mut roots: Vec<Root> = Vec::new();
+        for (pfn, descs) in &dirty {
+            let Some(&(level, table_ia)) = e.meta.get(pfn) else {
+                continue;
+            };
+            dirty_tables += 1;
+            let root = |desc| Root {
+                table: *pfn,
+                level,
+                table_ia,
+                desc,
+            };
+            match descs.indices() {
+                Some(idx) => roots.extend(idx.iter().map(|&i| root(Some(i)))),
+                None => roots.push(root(None)),
+            }
+        }
+        if dirty_tables == 0 {
             return Plan::Clean;
         }
-        if dirty_tables.len() * DIRTY_RATIO_DEN > e.meta.len() {
+        if dirty_tables * DIRTY_RATIO_DEN > e.meta.len() {
             return Plan::Full(FullReason::DirtyRatio);
         }
-        // Keep only the shallowest dirty nodes: a dirty node inside
-        // another dirty node's span is covered by replaying the ancestor
-        // (and a *stale* node — freed and reused — is always covered by
-        // the ancestor whose PTE write unlinked it).
-        dirty_tables.sort_by_key(|&(_, level, ia)| (level, ia));
-        let mut kept: Vec<(u64, u8, u64)> = Vec::with_capacity(dirty_tables.len());
-        'next: for &(pfn, level, ia) in &dirty_tables {
-            for &(_, klevel, kia) in &kept {
-                let span = table_span_pages(klevel) * PAGE_SIZE;
-                if level > klevel && ia >= kia && ia - kia < span {
-                    continue 'next;
-                }
-            }
-            kept.push((pfn, level, ia));
-        }
-        Plan::Replay(kept)
+        Plan::Replay(shallowest(roots))
     }
 
-    // Replays `subtrees` over the cached entry; returns `None` (entry
-    // invalidated) if any subtree is anomalous.
+    // Replays `roots` over the cached entry; returns the new
+    // interpretation and the spliced spans, or `None` (entry invalidated)
+    // if any root is anomalous.
     fn replay(
         &mut self,
         mem: &PhysMem,
         key: CacheKey,
         snap: u64,
-        subtrees: &[(u64, u8, u64)],
-    ) -> Option<AbstractPgtable> {
+        roots: &[Root],
+    ) -> Option<(AbstractPgtable, Vec<(u64, u64)>)> {
         // `None` (entry vanished between plan and replay — only possible
         // when containment interrupted an update) degrades to a full walk
         // via the caller's anomaly fallback.
         let e = self.entries.get_mut(&key)?;
         let stage = e.stage;
-        for &(pfn, level, ia_base) in subtrees {
+        let mut spans = Vec::with_capacity(roots.len());
+        for r in roots {
+            let table = PhysAddr::new(r.table * PAGE_SIZE);
             let mut sub_meta = TableMeta::new();
             let mut sub_anomalies = Vec::new();
-            let sub = interpret_subtree(
-                mem,
-                stage,
-                PhysAddr::new(pfn * PAGE_SIZE),
-                level,
-                ia_base,
-                &mut sub_meta,
-                &mut sub_anomalies,
-            );
+            let sub = match r.desc {
+                Some(i) => interpret_descriptor(
+                    mem,
+                    stage,
+                    table,
+                    r.level,
+                    r.table_ia,
+                    usize::from(i),
+                    &mut sub_meta,
+                    &mut sub_anomalies,
+                ),
+                None => interpret_subtree(
+                    mem,
+                    stage,
+                    table,
+                    r.level,
+                    r.table_ia,
+                    &mut sub_meta,
+                    &mut sub_anomalies,
+                ),
+            };
             if !sub_anomalies.is_empty() {
                 self.entries.remove(&key);
                 return None;
             }
-            let span = table_span_pages(level);
-            // Splice the subtree's extension over its span, and swap the
-            // span's table-node footprint for the subtree's.
-            e.interp
-                .mapping
-                .splice(ia_base, span, sub.mapping.iter().copied());
-            let span_bytes = span * PAGE_SIZE;
-            let stale: Vec<u64> = e
-                .meta
-                .iter()
-                .filter(|&(_, &(l, ia))| l >= level && ia >= ia_base && ia - ia_base < span_bytes)
-                .map(|(&pfn, _)| pfn)
-                .collect();
-            for pfn in stale {
-                e.meta.remove(&pfn);
-                e.interp.table_pages.remove(&pfn);
+            let (ia, nr) = r.span();
+            e.interp.mapping.splice(ia, nr, sub.mapping.iter().copied());
+            spans.push((ia, nr));
+            // Swap the span's table-node footprint for the replay's: a
+            // descriptor owns the nodes below it, a whole-node replay the
+            // node itself too. A leaf-level descriptor owns none.
+            let owned_from = if r.desc.is_some() {
+                r.level + 1
+            } else {
+                r.level
+            };
+            if owned_from <= LEAF_LEVEL {
+                let end = ia + nr * PAGE_SIZE;
+                let stale: Vec<u64> = e
+                    .meta
+                    .iter()
+                    .filter(|&(_, &(l, at))| l >= owned_from && at >= ia && at < end)
+                    .map(|(&pfn, _)| pfn)
+                    .collect();
+                for pfn in stale {
+                    e.meta.remove(&pfn);
+                    e.interp.table_pages.remove(&pfn);
+                }
+                e.meta.extend(sub_meta);
+                e.interp.table_pages.extend(sub.table_pages);
             }
-            e.meta.extend(sub_meta);
-            e.interp.table_pages.extend(sub.table_pages);
         }
         e.gen = snap;
-        Some(e.interp.clone())
+        Some((e.interp.clone(), spans))
     }
 
     fn full_walk(
@@ -313,6 +446,7 @@ impl AbsCache {
                     gen: snap,
                     interp: interp.clone(),
                     meta,
+                    host: None,
                 },
             );
         } else {
@@ -324,9 +458,32 @@ impl AbsCache {
     }
 }
 
+/// Keeps only the shallowest replay roots: a root inside another root's
+/// span is covered by replaying the outer one (and a *stale* node —
+/// freed and reused — is always covered by the ancestor descriptor whose
+/// write unlinked it). Spans come from one tree, so any two are nested or
+/// disjoint; on an equal span the descriptor is kept over the table node
+/// it links, since replaying the descriptor re-walks that node anyway.
+fn shallowest(mut roots: Vec<Root>) -> Vec<Root> {
+    roots.sort_by_key(|r| {
+        let (ia, nr) = r.span();
+        (ia, Reverse(nr), r.desc.is_none())
+    });
+    let mut covered_to = 0;
+    roots.retain(|r| {
+        let (ia, nr) = r.span();
+        if ia < covered_to {
+            return false;
+        }
+        covered_to = ia + nr * PAGE_SIZE;
+        true
+    });
+    roots
+}
+
 enum Plan {
     Clean,
-    Replay(Vec<(u64, u8, u64)>),
+    Replay(Vec<Root>),
     Full(FullReason),
 }
 
@@ -335,6 +492,7 @@ enum FullReason {
     RootChanged,
     LogUnavailable,
     DirtyRatio,
+    Anomaly,
 }
 
 #[cfg(test)]
@@ -494,6 +652,147 @@ mod tests {
         check_agrees(&mut cache, &m, root);
         assert_eq!(cache.stats.full_cold, 2);
         assert_eq!(cache.stats.clean_hits, 0);
+    }
+
+    #[test]
+    fn on_an_equal_span_the_descriptor_beats_the_table_it_links() {
+        let l2 = Root {
+            table: 0x44002,
+            level: 2,
+            table_ia: 0,
+            desc: Some(0),
+        };
+        let l3 = Root {
+            table: 0x44003,
+            level: 3,
+            table_ia: 0,
+            desc: None,
+        };
+        assert_eq!(l2.span(), l3.span());
+        let l3_desc = Root {
+            desc: Some(9),
+            ..l3
+        };
+        // Whatever the order the log reports them in.
+        assert_eq!(shallowest(vec![l3, l2]), vec![l2]);
+        assert_eq!(shallowest(vec![l2, l3, l3_desc]), vec![l2]);
+        // A sibling descriptor outside the span survives.
+        let other = Root {
+            desc: Some(1),
+            ..l2
+        };
+        assert_eq!(shallowest(vec![other, l3_desc, l2]), vec![l2, other]);
+    }
+
+    #[test]
+    fn relinked_and_rewritten_table_replays_only_the_linking_descriptor() {
+        let m = mem();
+        let root = build(&m);
+        // More leaf tables, so two dirty nodes stay under the dirty ratio.
+        for i in 1..8u64 {
+            let t = PhysAddr::new(0x4410_0000 + i * 0x1000);
+            m.write_pte(t, 0, leaf(0x4300_0000 + i * 0x1000)).unwrap();
+            m.write_pte(PhysAddr::new(0x4400_2000), i as usize, Pte::table(t))
+                .unwrap();
+        }
+        let mut cache = AbsCache::new();
+        check_agrees(&mut cache, &m, root);
+        // Swap l3 for a fresh l3b under l2[0], and reuse l3's page whole:
+        // l2[0] and all of l3 are dirty over the very same span.
+        let l3 = PhysAddr::new(0x4400_3000);
+        let l3b = PhysAddr::new(0x4400_4000);
+        m.write_pte(l3b, 7, leaf(0x4200_7000)).unwrap();
+        m.write_pte(PhysAddr::new(0x4400_2000), 0, Pte::table(l3b))
+            .unwrap();
+        m.zero_page(l3).unwrap();
+        check_agrees(&mut cache, &m, root);
+        assert_eq!(cache.stats.incremental, 1);
+        assert_eq!(cache.stats.subtrees_replayed, 1);
+        assert_eq!(cache.stats.descriptors_replayed, 1);
+        let mut a = Vec::new();
+        let now = cache.interp(&m, Stage::Stage2, root, CacheKey::Host, &mut a);
+        assert!(now.table_pages.contains(&l3b.pfn()));
+        assert!(!now.table_pages.contains(&l3.pfn()));
+    }
+
+    #[test]
+    fn whole_page_writes_replay_the_whole_table() {
+        let m = mem();
+        let root = build(&m);
+        let mut cache = AbsCache::new();
+        check_agrees(&mut cache, &m, root);
+        // Five distinct descriptors of l3: past the log's per-page cap.
+        let l3 = PhysAddr::new(0x4400_3000);
+        for idx in 2..7 {
+            m.write_pte(l3, idx, leaf(0x4200_0000 + idx as u64 * 0x1000))
+                .unwrap();
+        }
+        check_agrees(&mut cache, &m, root);
+        assert_eq!(cache.stats.subtrees_replayed, 1);
+        assert_eq!(cache.stats.descriptors_replayed, 0);
+    }
+
+    fn globals() -> GhostGlobals {
+        GhostGlobals {
+            nr_cpus: 1,
+            physvirt_offset: 0,
+            uart_va: 0,
+            hyp_range: (0, 0),
+            ram: vec![(0, 0x1_0000_0000)],
+            mmio: vec![],
+        }
+    }
+
+    fn host_agrees(cache: &mut AbsCache, m: &PhysMem, root: PhysAddr) {
+        let mut a1 = Vec::new();
+        let (inc, part) = cache.host(m, root, &globals(), &mut a1);
+        let mut a2 = Vec::new();
+        let full = interpret_pgtable(m, Stage::Stage2, root, &mut a2);
+        let full_part = partition_host(full.mapping.iter().copied(), &globals(), &mut a2);
+        assert_eq!(inc, full);
+        assert_eq!(part, full_part);
+        assert_eq!(a1, a2);
+    }
+
+    #[test]
+    fn host_partition_is_memoised_and_rederived_over_spliced_spans() {
+        let m = mem();
+        let root = build(&m);
+        let l3 = PhysAddr::new(0x4400_3000);
+        // Host-owned pages must be identity mappings.
+        m.write_pte(l3, 0, leaf(0)).unwrap();
+        m.write_pte(l3, 1, leaf(0x1000)).unwrap();
+        let mut cache = AbsCache::new();
+        host_agrees(&mut cache, &m, root);
+        // Annotate one page for a guest and share another.
+        m.write_pte(l3, 4, annotation_pte(OwnerId::guest(0)))
+            .unwrap();
+        let shared = Attrs::normal(Perms::RWX).with_sw(PageState::SharedOwned.to_sw());
+        m.write_pte(
+            l3,
+            5,
+            Pte::leaf(Stage::Stage2, 3, PhysAddr::new(0x5000), shared),
+        )
+        .unwrap();
+        host_agrees(&mut cache, &m, root);
+        host_agrees(&mut cache, &m, root);
+        assert_eq!(cache.stats.incremental, 1);
+        assert_eq!(cache.stats.clean_hits, 1);
+        let memoised = |c: &AbsCache| c.entries[&CacheKey::Host].host.is_some();
+        assert!(memoised(&cache));
+        // The shared page above is no identity mapping, but shared pages
+        // are not checked. An owned non-identity page is: its span's
+        // derivation finds the anomaly and the full derivation reports
+        // it, at the maplet the full derivation sees.
+        m.write_pte(l3, 6, leaf(0x4300_0000)).unwrap();
+        host_agrees(&mut cache, &m, root);
+        assert!(!memoised(&cache));
+        host_agrees(&mut cache, &m, root);
+        // Repairing it memoises again.
+        m.write_pte(l3, 6, Pte(0)).unwrap();
+        host_agrees(&mut cache, &m, root);
+        assert!(memoised(&cache));
+        host_agrees(&mut cache, &m, root);
     }
 
     #[test]

@@ -16,12 +16,13 @@ use std::collections::BTreeMap;
 
 use pkvm_aarch64::addr::{level_pages, PhysAddr, PAGE_SIZE, PTES_PER_TABLE, START_LEVEL};
 use pkvm_aarch64::attrs::{MemType, Perms, Stage};
-use pkvm_aarch64::desc::EntryKind;
+use pkvm_aarch64::desc::{EntryKind, Pte};
 use pkvm_aarch64::memory::PhysMem;
 use pkvm_hyp::hooks::VmView;
 use pkvm_hyp::owner::{annotation_owner, OwnerId, PageState};
 
 use crate::maplet::{AbsAttrs, Maplet, MapletTarget};
+use crate::mapping::Mapping;
 use crate::state::{AbstractPgtable, GhostGlobals, GhostHost, GhostPkvm, GhostVcpu, GhostVm};
 
 /// Something in the concrete state that no well-formed hypervisor state
@@ -123,6 +124,38 @@ pub fn interpret_subtree(
     out
 }
 
+/// Re-interprets the single descriptor `idx` of the table node `table`,
+/// which sits at `level` and maps input addresses from `ia_base`: the
+/// descriptor's own maplet, or the whole subtree it links. The
+/// incremental cache replays exactly the descriptors the write log names,
+/// and splices each result over the descriptor's span
+/// ([`level_pages`]`(level)` pages from `ia_base + idx * level_size`).
+#[expect(clippy::too_many_arguments)]
+pub(crate) fn interpret_descriptor(
+    mem: &PhysMem,
+    stage: Stage,
+    table: PhysAddr,
+    level: u8,
+    ia_base: u64,
+    idx: usize,
+    meta: &mut TableMeta,
+    anomalies: &mut Vec<Anomaly>,
+) -> AbstractPgtable {
+    let mut out = AbstractPgtable::default();
+    match mem.read_pte(table, idx) {
+        Ok(pte) => {
+            let ia = ia_base | (idx as u64 * level_pages(level) * PAGE_SIZE);
+            interpret_desc(
+                mem, stage, table, level, idx, pte, ia, &mut out, meta, anomalies,
+            );
+        }
+        Err(_) => anomalies.push(Anomaly::TableOutsideMemory {
+            table: table.bits(),
+        }),
+    }
+    out
+}
+
 #[expect(clippy::too_many_arguments)]
 fn interpret_table(
     mem: &PhysMem,
@@ -154,60 +187,93 @@ fn interpret_table(
         // Compute the input address mapped by this entry.
         let va_offset_in_region = idx as u64 * nr_pages * PAGE_SIZE;
         let va_partial_new = va_partial | va_offset_in_region;
-        match pte.kind(level) {
-            EntryKind::Invalid => {
-                // Invalid entries may carry a software owner annotation;
-                // all-zero entries denote nothing and are skipped.
-                if pte.bits() != 0 {
-                    let owner = annotation_owner(pte);
-                    out.mapping.extend_coalesce(Maplet {
-                        ia: va_partial_new,
-                        nr_pages,
-                        target: MapletTarget::Annotated { owner },
-                    });
-                }
-            }
-            EntryKind::Table => {
-                interpret_table(
-                    mem,
-                    stage,
-                    pte.table_addr(),
-                    level + 1,
-                    va_partial_new,
-                    out,
-                    meta,
-                    anomalies,
-                );
-            }
-            EntryKind::Block | EntryKind::Page => {
-                // Compute output address and attributes, then extend the
-                // mapping with a maplet, coalescing if possible.
-                let oa = pte.leaf_oa(level);
-                let attrs = pte.leaf_attrs(stage);
-                let state = PageState::from_sw(attrs.sw);
-                if state.is_none() {
-                    anomalies.push(Anomaly::IllegalPageState { ia: va_partial_new });
-                }
+        interpret_desc(
+            mem,
+            stage,
+            table,
+            level,
+            idx,
+            pte,
+            va_partial_new,
+            out,
+            meta,
+            anomalies,
+        );
+    }
+}
+
+/// Interprets one descriptor `pte` (index `idx` of `table`, mapping from
+/// `ia`) into `out`. Always inlined: the full walk calls it 512 times
+/// per table node, and an out-of-line call there costs more than the
+/// decode itself.
+#[inline(always)]
+#[expect(clippy::too_many_arguments)]
+fn interpret_desc(
+    mem: &PhysMem,
+    stage: Stage,
+    table: PhysAddr,
+    level: u8,
+    idx: usize,
+    pte: Pte,
+    ia: u64,
+    out: &mut AbstractPgtable,
+    meta: &mut TableMeta,
+    anomalies: &mut Vec<Anomaly>,
+) {
+    let nr_pages = level_pages(level);
+    match pte.kind(level) {
+        EntryKind::Invalid => {
+            // Invalid entries may carry a software owner annotation;
+            // all-zero entries denote nothing and are skipped.
+            if pte.bits() != 0 {
+                let owner = annotation_owner(pte);
                 out.mapping.extend_coalesce(Maplet {
-                    ia: va_partial_new,
+                    ia,
                     nr_pages,
-                    target: MapletTarget::Mapped {
-                        oa: oa.bits(),
-                        attrs: AbsAttrs {
-                            perms: attrs.perms,
-                            memtype: attrs.memtype,
-                            state,
-                        },
+                    target: MapletTarget::Annotated { owner },
+                });
+            }
+        }
+        EntryKind::Table => {
+            interpret_table(
+                mem,
+                stage,
+                pte.table_addr(),
+                level + 1,
+                ia,
+                out,
+                meta,
+                anomalies,
+            );
+        }
+        EntryKind::Block | EntryKind::Page => {
+            // Compute output address and attributes, then extend the
+            // mapping with a maplet, coalescing if possible.
+            let oa = pte.leaf_oa(level);
+            let attrs = pte.leaf_attrs(stage);
+            let state = PageState::from_sw(attrs.sw);
+            if state.is_none() {
+                anomalies.push(Anomaly::IllegalPageState { ia });
+            }
+            out.mapping.extend_coalesce(Maplet {
+                ia,
+                nr_pages,
+                target: MapletTarget::Mapped {
+                    oa: oa.bits(),
+                    attrs: AbsAttrs {
+                        perms: attrs.perms,
+                        memtype: attrs.memtype,
+                        state,
                     },
-                });
-            }
-            EntryKind::Reserved => {
-                anomalies.push(Anomaly::ReservedDescriptor {
-                    table: table.bits(),
-                    index: idx,
-                    level,
-                });
-            }
+                },
+            });
+        }
+        EntryKind::Reserved => {
+            anomalies.push(Anomaly::ReservedDescriptor {
+                table: table.bits(),
+                index: idx,
+                level,
+            });
         }
     }
 }
@@ -233,27 +299,51 @@ pub fn abstract_host(
     anomalies: &mut Vec<Anomaly>,
 ) -> GhostHost {
     let interp = interpret_pgtable(mem, Stage::Stage2, root, anomalies);
-    abstract_host_from_interp(interp, globals, anomalies)
+    partition_host(interp.mapping.iter().copied(), globals, anomalies).into_host(interp)
 }
 
-/// The partitioning-and-checking half of [`abstract_host`], over an
-/// already-computed interpretation (possibly served by the incremental
-/// cache). The mapped-on-demand legality checks deliberately rerun on
-/// every call — they are per-event checks, not part of the cached value.
-pub fn abstract_host_from_interp(
-    interp: AbstractPgtable,
+/// The two deterministic sub-maps of the host stage 2 the ghost tracks.
+/// The mapped-on-demand legality checks are part of deriving them
+/// ([`partition_host`]), not of the partition itself: they rerun whenever
+/// the interpretation they read changed.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct HostPartition {
+    /// Pages owned by pKVM or a guest (invalid-descriptor annotations).
+    pub(crate) annot: Mapping,
+    /// Pages owned-and-shared by the host, or borrowed by it.
+    pub(crate) shared: Mapping,
+}
+
+impl HostPartition {
+    /// The host's ghost component: this partition of `interp`, plus its
+    /// table-node footprint.
+    pub(crate) fn into_host(self, interp: AbstractPgtable) -> GhostHost {
+        GhostHost {
+            annot: self.annot,
+            shared: self.shared,
+            table_pages: interp.table_pages,
+        }
+    }
+}
+
+/// Partitions `maplets` (ascending, as a [`Mapping`] yields them — or a
+/// clipped window of one) into the host's tracked sub-maps, and *checks*
+/// the loosely-specified mapped-on-demand remainder: every plain
+/// host-owned mapping must be an identity mapping of real memory with the
+/// attributes the on-demand path installs. Every check is per page, so
+/// a window of the interpretation is anomaly-free exactly when each of
+/// its pages is.
+pub(crate) fn partition_host(
+    maplets: impl IntoIterator<Item = Maplet>,
     globals: &GhostGlobals,
     anomalies: &mut Vec<Anomaly>,
-) -> GhostHost {
-    let mut host = GhostHost {
-        table_pages: interp.table_pages,
-        ..GhostHost::default()
-    };
-    for m in interp.mapping.iter() {
+) -> HostPartition {
+    let mut part = HostPartition::default();
+    for m in maplets {
         match m.target {
             MapletTarget::Annotated { owner } => {
                 if owner != OwnerId::HOST {
-                    host.annot.extend_coalesce(*m);
+                    part.annot.extend_coalesce(m);
                 }
                 // A zero-owner annotation never reaches here (zero PTEs are
                 // skipped during interpretation), but annotated-host would
@@ -261,7 +351,7 @@ pub fn abstract_host_from_interp(
             }
             MapletTarget::Mapped { oa, attrs } => match attrs.state {
                 Some(PageState::SharedOwned) | Some(PageState::SharedBorrowed) => {
-                    host.shared.extend_coalesce(*m);
+                    part.shared.extend_coalesce(m);
                 }
                 _ => {
                     // The loose region: check legality page-range-wise.
@@ -289,7 +379,7 @@ pub fn abstract_host_from_interp(
             },
         }
     }
-    host
+    part
 }
 
 /// Abstraction of one VM's lock-protected metadata, from the concrete
@@ -514,6 +604,4 @@ mod tests {
         // Legal owned mappings are deliberately not tracked.
         assert!(host.shared.is_empty() && host.annot.is_empty());
     }
-
-    use pkvm_aarch64::desc::Pte;
 }

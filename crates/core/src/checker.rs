@@ -55,12 +55,11 @@ pub enum CheckMode {
     /// only abstract-and-forward; the mutator synchronises with the
     /// checker at [`Verdict::wait`]/[`Checker::barrier`] or when the
     /// bounded channel exerts backpressure.
+    ///
+    /// The check core is order-dependent (one shared ghost copy, version
+    /// stamps, deferred seeding), so one ordered checker thread consumes
+    /// every message.
     Pipelined {
-        /// Requested checker threads. The check core is order-dependent
-        /// (one shared ghost copy, version stamps, deferred seeding), so
-        /// the current implementation consumes with one ordered worker
-        /// regardless; the knob is accepted for forward compatibility.
-        workers: usize,
         /// Bound on in-flight messages. A stalled checker blocks the
         /// mutator once this many messages are queued, so memory is
         /// bounded by the cap instead of growing with the run. Messages
@@ -71,13 +70,9 @@ pub enum CheckMode {
 }
 
 impl CheckMode {
-    /// The pipelined mode with default sizing (one worker, 1024-message
-    /// channel).
+    /// The pipelined mode with default sizing (a 1024-message channel).
     pub fn pipelined() -> CheckMode {
-        CheckMode::Pipelined {
-            workers: 1,
-            channel_cap: 1024,
-        }
+        CheckMode::Pipelined { channel_cap: 1024 }
     }
 
     /// `true` for [`CheckMode::Pipelined`].

@@ -59,8 +59,8 @@ pub mod state;
 
 pub use abscache::{AbsCache, CacheKey, CacheStats};
 pub use abstraction::{
-    abstract_host, abstract_host_from_interp, abstract_hyp, abstract_vm, abstract_vm_with_pgt,
-    interpret_pgtable, interpret_pgtable_with_meta, interpret_subtree, Anomaly, TableMeta,
+    abstract_host, abstract_hyp, abstract_vm, abstract_vm_with_pgt, interpret_pgtable,
+    interpret_pgtable_with_meta, interpret_subtree, Anomaly, TableMeta,
 };
 pub use calldata::GhostCallData;
 pub use check::{check_trap, normalize, CheckOutcome, Violation};

@@ -210,8 +210,11 @@ impl Mapping {
     ///
     /// `replacement` must be sorted, non-overlapping, and lie within the
     /// replaced range (any canonical [`Mapping`]'s maplets over that range
-    /// qualify). Coalescing is restored at the two seams in O(n + k)
-    /// rather than the O(n·k) of repeated [`Self::insert`].
+    /// qualify). One pass rebuilds only the window of maplets the range
+    /// touches, widened by a neighbour on each side so the seams
+    /// re-coalesce, and moves it into place: an in-place shift when the
+    /// storage is unshared, a single copy when it is shared, and no write
+    /// at all when the window comes out unchanged.
     ///
     /// # Panics
     ///
@@ -226,39 +229,73 @@ impl Mapping {
         if nr_pages == 0 {
             return;
         }
-        self.remove(ia, nr_pages);
         let end = ia + nr_pages * PAGE_SIZE;
-        let rep: Vec<Maplet> = replacement.into_iter().filter(|m| m.nr_pages > 0).collect();
-        for w in rep.windows(2) {
-            debug_assert!(w[0].end() <= w[1].ia, "replacement out of order");
+        let cur = &self.maplets;
+        // `cur[first..last]` overlap the range; `cur[lo..hi]` adds one
+        // neighbour each side.
+        let first = cur.partition_point(|m| m.end() <= ia);
+        let last = cur.partition_point(|m| m.ia < end);
+        let lo = first.saturating_sub(1);
+        let hi = (last + 1).min(cur.len());
+        let mut window: Vec<Maplet> = Vec::with_capacity(hi - lo + 4);
+        let mut push = |m: Maplet| match window.last_mut() {
+            _ if m.nr_pages == 0 => {}
+            Some(t) if t.can_coalesce_with(&m) => t.nr_pages += m.nr_pages,
+            _ => window.push(m),
+        };
+        if lo < first {
+            push(cur[lo]);
         }
-        if let (Some(first), Some(last)) = (rep.first(), rep.last()) {
-            debug_assert!(
-                first.ia >= ia && last.end() <= end,
-                "replacement outside splice range"
-            );
+        if first < last && cur[first].ia < ia {
+            push(cur[first].split_at(ia).0);
         }
-        let pos = self.maplets.partition_point(|m| m.ia < ia);
-        let at = pos + rep.len();
-        let maplets = Arc::make_mut(&mut self.maplets);
-        maplets.splice(pos..pos, rep);
-        // Restore coalescing at the trailing seam first (indices shift),
-        // then the leading one; the interior of the replacement is already
-        // canonical.
-        if at > pos && at < maplets.len() {
-            let next = maplets[at];
-            if maplets[at - 1].can_coalesce_with(&next) {
-                maplets[at - 1].nr_pages += next.nr_pages;
-                maplets.remove(at);
+        let mut at = ia;
+        for m in replacement {
+            debug_assert!(m.ia >= at, "replacement out of order or outside range");
+            debug_assert!(m.end() <= end, "replacement outside splice range");
+            at = m.end();
+            push(m);
+        }
+        if first < last && cur[last - 1].end() > end {
+            push(cur[last - 1].split_at(end).1);
+        }
+        if last < hi {
+            push(cur[last]);
+        }
+        if window[..] == cur[lo..hi] {
+            return;
+        }
+        match Arc::get_mut(&mut self.maplets) {
+            Some(v) => {
+                v.splice(lo..hi, window);
+            }
+            None => {
+                let cur = &self.maplets;
+                let mut out = Vec::with_capacity(cur.len() - (hi - lo) + window.len());
+                out.extend_from_slice(&cur[..lo]);
+                out.extend(window);
+                out.extend_from_slice(&cur[hi..]);
+                self.maplets = Arc::new(out);
             }
         }
-        if at > pos && pos > 0 {
-            let cur = maplets[pos];
-            if maplets[pos - 1].can_coalesce_with(&cur) {
-                maplets[pos - 1].nr_pages += cur.nr_pages;
-                maplets.remove(pos);
-            }
-        }
+    }
+
+    /// The maplets overlapping `[ia, ia + nr_pages)`, clipped to it, in
+    /// ascending order.
+    pub(crate) fn clipped(&self, ia: u64, nr_pages: u64) -> impl Iterator<Item = Maplet> + '_ {
+        let end = ia + nr_pages * PAGE_SIZE;
+        let first = self.maplets.partition_point(|m| m.end() <= ia);
+        self.maplets[first..]
+            .iter()
+            .take_while(move |m| m.ia < end)
+            .map(move |&m| {
+                let m = if m.ia < ia { m.split_at(ia).1 } else { m };
+                if m.end() > end {
+                    m.split_at(end).0
+                } else {
+                    m
+                }
+            })
     }
 
     fn coalesce_around(&mut self, pos: usize) {
@@ -654,6 +691,36 @@ mod tests {
         let b = Mapping::default();
         assert!(Arc::ptr_eq(&a.maplets, &b.maplets));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn splice_leaves_storage_shared_when_nothing_changes() {
+        let mut a = Mapping::new();
+        a.insert(mapped(0x1000, 4, 0x8000));
+        let b = a.clone();
+        // Re-splicing the content already there is not a mutation.
+        a.splice(0x2000, 1, vec![mapped(0x2000, 1, 0x9000)]);
+        assert!(Arc::ptr_eq(&a.maplets, &b.maplets));
+        a.splice(0x2000, 1, vec![mapped(0x2000, 1, 0xf000)]);
+        assert!(!Arc::ptr_eq(&a.maplets, &b.maplets));
+        assert_eq!(b.len(), 1);
+        a.check_canonical().unwrap();
+    }
+
+    #[test]
+    fn clipped_yields_the_window_of_each_overlapping_maplet() {
+        let mut m = Mapping::new();
+        m.insert(mapped(0x1000, 4, 0x8000));
+        m.insert(annotated(0x6000, 2, OwnerId::HYP));
+        let w: Vec<Maplet> = m.clipped(0x3000, 4).collect();
+        assert_eq!(
+            w,
+            vec![
+                mapped(0x3000, 2, 0xa000),
+                annotated(0x6000, 1, OwnerId::HYP)
+            ]
+        );
+        assert_eq!(m.clipped(0x10000, 4).count(), 0);
     }
 
     #[test]

@@ -43,8 +43,8 @@ use pkvm_hyp::vm::Handle;
 
 use crate::abscache::{AbsCache, CacheKey, CacheStats};
 use crate::abstraction::{
-    abstract_host, abstract_host_from_interp, abstract_hyp, abstract_vm, abstract_vm_with_pgt,
-    interpret_pgtable, Anomaly,
+    abstract_host, abstract_hyp, abstract_vm, abstract_vm_with_pgt, interpret_pgtable,
+    partition_host, Anomaly, HostPartition,
 };
 use crate::calldata::GhostCallData;
 use crate::check::{check_trap, normalize, Violation};
@@ -810,7 +810,7 @@ impl Oracle {
         let shared = GhostState::blank(&globals);
         let (pipeline, rx) = match opts.check_mode {
             CheckMode::Inline => (None, None),
-            CheckMode::Pipelined { channel_cap, .. } => {
+            CheckMode::Pipelined { channel_cap } => {
                 // Messages travel in batches (one per trap, or `flush`
                 // messages, whichever comes first); the channel is sized
                 // in batches so `channel_cap` keeps bounding the number
@@ -1222,19 +1222,7 @@ impl Oracle {
         let mut reports = Vec::new();
         let value = match view {
             ComponentView::Host { root } if cached => {
-                let interp = self.cached_interp(
-                    ctx,
-                    Stage::Stage2,
-                    *root,
-                    CacheKey::Host,
-                    &mut anomalies,
-                    &mut reports,
-                );
-                ComponentValue::Host(abstract_host_from_interp(
-                    interp,
-                    &self.globals,
-                    &mut anomalies,
-                ))
+                ComponentValue::Host(self.cached_host(ctx, *root, &mut anomalies, &mut reports))
             }
             ComponentView::Host { root } => {
                 ComponentValue::Host(abstract_host(ctx.mem, *root, &self.globals, &mut anomalies))
@@ -1298,6 +1286,48 @@ impl Oracle {
         (value, reports)
     }
 
+    /// Abstracts the host stage 2 rooted at `root` through the
+    /// incremental cache, its memoised partition included. Under shadow
+    /// validation the full walk and the full partition also run, exactly
+    /// as in [`Self::cached_interp`].
+    fn cached_host(
+        &self,
+        ctx: &HookCtx<'_>,
+        root: PhysAddr,
+        anomalies: &mut Vec<Anomaly>,
+        reports: &mut Vec<Violation>,
+    ) -> GhostHost {
+        if !self.opts.shadow_validation {
+            let (interp, part) = self
+                .abscache
+                .lock()
+                .host(ctx.mem, root, &self.globals, anomalies);
+            return part.into_host(interp);
+        }
+        let mut inc_anomalies = Vec::new();
+        let (inc, inc_part) =
+            self.abscache
+                .lock()
+                .host(ctx.mem, root, &self.globals, &mut inc_anomalies);
+        let before = anomalies.len();
+        let full = interpret_pgtable(ctx.mem, Stage::Stage2, root, anomalies);
+        let full_part = partition_host(full.mapping.iter().copied(), &self.globals, anomalies);
+        if inc != full || inc_part != full_part || inc_anomalies != anomalies[before..] {
+            reports.push(Violation::ShadowDivergence {
+                seq: None,
+                component: format!("{:?}", CacheKey::Host),
+                diff: pgtable_divergence(
+                    &full,
+                    &inc,
+                    &anomalies[before..],
+                    &inc_anomalies,
+                    Some((&full_part, &inc_part)),
+                ),
+            });
+        }
+        full_part.into_host(full)
+    }
+
     /// Interprets `root` through the incremental cache. Under shadow
     /// validation the full walk also runs; a divergence is collected into
     /// `reports` as an oracle self-check violation and the full result
@@ -1329,7 +1359,7 @@ impl Oracle {
             reports.push(Violation::ShadowDivergence {
                 seq: None,
                 component: format!("{key:?}"),
-                diff: pgtable_divergence(&full, &inc, &anomalies[before..], &inc_anomalies),
+                diff: pgtable_divergence(&full, &inc, &anomalies[before..], &inc_anomalies, None),
             });
         }
         full
@@ -1729,12 +1759,14 @@ impl OracleBuilder<'_> {
 }
 
 /// Renders what differed between the full walk and the incremental
-/// replay, maplet by maplet, for the shadow-divergence report.
+/// replay, maplet by maplet — and for the host, between the full and the
+/// memoised partition — for the shadow-divergence report.
 fn pgtable_divergence(
     full: &AbstractPgtable,
     inc: &AbstractPgtable,
     full_anomalies: &[Anomaly],
     inc_anomalies: &[Anomaly],
+    partitions: Option<(&HostPartition, &HostPartition)>,
 ) -> String {
     use std::fmt::Write;
     let mut out = String::new();
@@ -1760,6 +1792,19 @@ fn pgtable_divergence(
             out,
             "  anomalies: full {full_anomalies:?} vs incremental {inc_anomalies:?}"
         );
+    }
+    if let Some((f, i)) = partitions {
+        for (name, full_map, inc_map) in [
+            ("annot", &f.annot, &i.annot),
+            ("shared", &f.shared, &i.shared),
+        ] {
+            for (ia, full_t, inc_t) in full_map.diff(inc_map) {
+                let _ = writeln!(
+                    out,
+                    "  {name} at {ia:#x}: full {full_t:?} vs incremental {inc_t:?}"
+                );
+            }
+        }
     }
     if out.is_empty() {
         out.push_str("  (states compare equal after the fact; transient divergence)\n");
@@ -2760,10 +2805,7 @@ mod tests {
         let o = Oracle::new(
             &MachineConfig::default(),
             OracleOpts::builder()
-                .check_mode(CheckMode::Pipelined {
-                    workers: 1,
-                    channel_cap: cap,
-                })
+                .check_mode(CheckMode::Pipelined { channel_cap: cap })
                 .build(),
         );
         // Stall the checker: the first message it applies (`trap_enter`)

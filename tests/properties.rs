@@ -150,6 +150,79 @@ fn mapping_matches_per_page_model() {
     }
 }
 
+/// A maplet over `nr` pages from `ia_page`, drawn from few owners and
+/// output bases so that neighbours often coalesce.
+fn small_maplet(rng: &mut Rng, ia_page: u64, nr: u64) -> Maplet {
+    let target = if rng.gen_bool(0.3) {
+        MapletTarget::Annotated {
+            owner: OwnerId(rng.gen_range(1..3u64) as u8),
+        }
+    } else {
+        MapletTarget::Mapped {
+            oa: (ia_page + rng.gen_range(0..2u64) * 8) * PAGE_SIZE,
+            attrs: AbsAttrs {
+                perms: Perms::RWX,
+                memtype: MemType::Normal,
+                state: Some(PageState::Owned),
+            },
+        }
+    };
+    Maplet {
+        ia: ia_page * PAGE_SIZE,
+        nr_pages: nr,
+        target,
+    }
+}
+
+/// The reference semantics of [`Mapping::splice`]: remove the range,
+/// then insert each replacement maplet.
+fn splice_naive(m: &Mapping, ia: u64, nr: u64, rep: &[Maplet]) -> Mapping {
+    let mut out = m.clone();
+    out.remove(ia, nr);
+    for r in rep {
+        out.insert(*r);
+    }
+    out
+}
+
+/// The single-pass splice agrees with the naive reference over random
+/// maps, ranges and canonical replacements, on shared (copying) and
+/// unshared (in-place) storage alike, and never disturbs another holder
+/// of shared storage.
+#[test]
+fn splice_matches_remove_then_insert() {
+    for seed in 0..2000u64 {
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut m = Mapping::new();
+        for _ in 0..rng.gen_range(0..12usize) {
+            let ia = rng.gen_range(0..64u64);
+            let nr = rng.gen_range(1..9u64);
+            m.insert(small_maplet(&mut rng, ia, nr));
+        }
+        let ia = rng.gen_range(0..64u64);
+        let nr = rng.gen_range(0..16u64);
+        let mut rep = Mapping::new();
+        if nr > 0 {
+            for _ in 0..rng.gen_range(0..4usize) {
+                let at = ia + rng.gen_range(0..nr);
+                let len = rng.gen_range(1..ia + nr - at + 1);
+                rep.insert(small_maplet(&mut rng, at, len));
+            }
+        }
+        let rep: Vec<Maplet> = rep.iter().copied().collect();
+        let expect = splice_naive(&m, ia * PAGE_SIZE, nr, &rep);
+        let shared = m.clone();
+        let before: Vec<Maplet> = m.iter().copied().collect();
+        let mut unshared: Mapping = before.iter().copied().collect();
+        m.splice(ia * PAGE_SIZE, nr, rep.iter().copied());
+        unshared.splice(ia * PAGE_SIZE, nr, rep.iter().copied());
+        assert_eq!(m, expect, "seed {seed}");
+        assert_eq!(unshared, expect, "seed {seed}");
+        assert!(shared.iter().copied().eq(before), "seed {seed}");
+        m.check_canonical().unwrap();
+    }
+}
+
 /// Two orders of building the same extension compare equal.
 #[test]
 fn mapping_equality_is_extensional() {
@@ -520,38 +593,49 @@ fn vm_lifecycle_sequences_stay_clean() {
 
 /// The incremental abstraction is extensionally equal to the full walk:
 /// randomized hypercall sequences run with shadow validation on, so every
-/// lock event computes both and any divergence is reported as a
-/// [`ShadowDivergence`](pkvm_repro::prelude::Violation::ShadowDivergence)
-/// violation — of which there must be none, while the cache must actually
-/// serve (otherwise the property is vacuous).
+/// lock event computes both — the interpretation and, for the host, the
+/// memoised `annot`/`shared` partition — and any divergence is reported
+/// as a [`ShadowDivergence`](pkvm_repro::prelude::Violation::ShadowDivergence)
+/// violation, of which there must be none. The default and the Android op
+/// mixes both run, long enough for VM churn and table growth, and the
+/// cache must actually serve descriptor-granular replays (otherwise the
+/// property is vacuous).
 #[test]
 fn incremental_abstraction_matches_full_walk() {
+    use pkvm_repro::harness::android::android_weights;
     use pkvm_repro::harness::proxy::Proxy;
     use pkvm_repro::harness::random::{RandomCfg, RandomTester};
     use pkvm_repro::prelude::*;
-    for seed in [5u64, 11, 23] {
-        let proxy = Proxy::builder()
-            .oracle_opts(OracleOpts::builder().shadow_validation(true).build())
-            .boot();
-        let mut t = RandomTester::new(proxy, RandomCfg::builder().seed(seed).build());
-        t.run(800);
-        let oracle = t.proxy.oracle.as_ref().expect("oracle installed");
-        let divergences: Vec<_> = oracle
-            .violations()
-            .into_iter()
-            .filter(|v| matches!(v, Violation::ShadowDivergence { .. }))
-            .collect();
-        assert!(divergences.is_empty(), "seed {seed}:\n{divergences:#?}");
-        assert!(
-            t.proxy.all_clear(),
-            "seed {seed}: {:?}",
-            t.proxy.violations()
-        );
-        let stats = oracle.cache_stats();
-        assert!(
-            stats.clean_hits + stats.incremental > 0,
-            "seed {seed}: cache never served a request: {stats:?}"
-        );
+    for android in [false, true] {
+        for seed in [5u64, 11, 23, 42] {
+            let proxy = Proxy::builder()
+                .oracle_opts(OracleOpts::builder().shadow_validation(true).build())
+                .boot();
+            let mut cfg = RandomCfg::builder().seed(seed);
+            if android {
+                cfg = cfg.op_weights(android_weights());
+            }
+            let mut t = RandomTester::new(proxy, cfg.build());
+            t.run(3000);
+            let oracle = t.proxy.oracle.as_ref().expect("oracle installed");
+            let divergences: Vec<_> = oracle
+                .violations()
+                .into_iter()
+                .filter(|v| matches!(v, Violation::ShadowDivergence { .. }))
+                .collect();
+            let case = format!("seed {seed}, android {android}");
+            assert!(divergences.is_empty(), "{case}:\n{divergences:#?}");
+            assert!(t.proxy.all_clear(), "{case}: {:?}", t.proxy.violations());
+            let stats = oracle.cache_stats();
+            assert!(
+                stats.clean_hits + stats.incremental > 0,
+                "{case}: cache never served a request: {stats:?}"
+            );
+            assert!(
+                stats.descriptors_replayed > 0,
+                "{case}: no descriptor-granular replay: {stats:?}"
+            );
+        }
     }
 }
 
