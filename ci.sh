@@ -4,6 +4,22 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# verdict_gate PREFIX FAILURE LABEL_A CMD_A LABEL_B CMD_B
+# Runs the two commands (each one shell string), keeps the line of each
+# output that starts with PREFIX, prints both under their labels, and
+# fails with FAILURE unless they are byte-identical. Leaves CMD_A's line
+# in GATE_LINE for later stanzas.
+verdict_gate() {
+    local prefix="$1" failure="$2" line_b
+    GATE_LINE="$(eval "$4" | grep "^$prefix")"
+    line_b="$(eval "$6" | grep "^$prefix")"
+    printf '  %-10s %s\n' "$3:" "$GATE_LINE" "$5:" "$line_b"
+    if [ "$GATE_LINE" != "$line_b" ]; then
+        echo "$failure" >&2
+        exit 1
+    fi
+}
+
 echo "== build (release) =="
 cargo build --release --workspace --all-targets
 
@@ -38,14 +54,10 @@ echo "== trace-file record/replay (fresh-process determinism) =="
 # byte-identical. Fails if persistence or cross-process replay drifts.
 TRACE_TMP="$(mktemp -t pkvmtrace.XXXXXX)"
 trap 'rm -f "$TRACE_TMP"' EXIT
-RECORDED_VERDICT="$(cargo run --release --example chaos -- record "$TRACE_TMP" 0xc2 400 | grep '^verdict:')"
-REPLAYED_VERDICT="$(cargo run --release --example chaos -- replay "$TRACE_TMP" | grep '^verdict:')"
-echo "  recorded: $RECORDED_VERDICT"
-echo "  replayed: $REPLAYED_VERDICT"
-if [ "$RECORDED_VERDICT" != "$REPLAYED_VERDICT" ]; then
-    echo "trace-file replay verdict differs from the recording process" >&2
-    exit 1
-fi
+verdict_gate 'verdict:' "trace-file replay verdict differs from the recording process" \
+    recorded 'cargo run --release --example chaos -- record "$TRACE_TMP" 0xc2 400' \
+    replayed 'cargo run --release --example chaos -- replay "$TRACE_TMP"'
+RECORDED_VERDICT="$GATE_LINE"
 cargo run --release --example trace_inspect -- "$TRACE_TMP" summary > /dev/null
 cargo run --release --example trace_inspect -- "$TRACE_TMP" stats > /dev/null
 
@@ -57,13 +69,9 @@ COMPACT_TMP="$(mktemp -t pkvmcompact.XXXXXX)"
 trap 'rm -f "$TRACE_TMP" "$COMPACT_TMP"' EXIT
 cargo run --release --example trace_inspect -- "$TRACE_TMP" compact "$COMPACT_TMP" \
     read-once lock-acquired lock-releasing trap-enter trap-exit chaos check
-COMPACT_VERDICT="$(cargo run --release --example chaos -- replay "$COMPACT_TMP" | grep '^verdict:')"
-echo "  original:  $RECORDED_VERDICT"
-echo "  compacted: $COMPACT_VERDICT"
-if [ "$RECORDED_VERDICT" != "$COMPACT_VERDICT" ]; then
-    echo "compacted trace replays to a different verdict" >&2
-    exit 1
-fi
+verdict_gate 'verdict:' "compacted trace replays to a different verdict" \
+    original 'echo "$RECORDED_VERDICT"' \
+    compacted 'cargo run --release --example chaos -- replay "$COMPACT_TMP"'
 
 echo "== differential gate (fault-catalog replay matrix, fresh-process determinism) =="
 # Records one clean fixed-seed schedule, replays it against the clean
@@ -75,14 +83,9 @@ echo "== differential gate (fault-catalog replay matrix, fresh-process determini
 DIFF_TMP="$(mktemp -t pkvmdiff.XXXXXX)"
 trap 'rm -f "$TRACE_TMP" "$COMPACT_TMP" "$DIFF_TMP"' EXIT
 cargo run --release --example differential -- record "$DIFF_TMP" 0x42 2500
-DIFF_GATE="$(cargo run --release --example differential -- gate "$DIFF_TMP" 14 | grep '^diff-matrix:')"
-DIFF_AGAIN="$(cargo run --release --example differential -- matrix "$DIFF_TMP" | grep '^diff-matrix:')"
-echo "  gate:     $DIFF_GATE"
-echo "  recheck:  $DIFF_AGAIN"
-if [ "$DIFF_GATE" != "$DIFF_AGAIN" ]; then
-    echo "differential matrix line differs across processes" >&2
-    exit 1
-fi
+verdict_gate 'diff-matrix:' "differential matrix line differs across processes" \
+    gate 'cargo run --release --example differential -- gate "$DIFF_TMP" 14' \
+    recheck 'cargo run --release --example differential -- matrix "$DIFF_TMP"'
 
 echo "== fuzz gate (fixed seed, coverage vs random + corpus round-trip) =="
 # A short fixed-seed coverage-guided fuzzing session. Fails unless (a) the
@@ -92,14 +95,9 @@ echo "== fuzz gate (fixed seed, coverage vs random + corpus round-trip) =="
 # bit-identical verdicts in a *second process*.
 FUZZ_CORPUS="$(mktemp -d -t pkvmcorpus.XXXXXX)"
 trap 'rm -f "$TRACE_TMP" "$COMPACT_TMP" "$DIFF_TMP"; rm -rf "$FUZZ_CORPUS"' EXIT
-GATE_VERDICT="$(cargo run --release --example fuzz -- gate "$FUZZ_CORPUS" 0xc5 4000 | grep '^corpus-verdict:')"
-VERIFY_VERDICT="$(cargo run --release --example fuzz -- verify "$FUZZ_CORPUS" | grep '^corpus-verdict:')"
-echo "  gate:     $GATE_VERDICT"
-echo "  verified: $VERIFY_VERDICT"
-if [ "$GATE_VERDICT" != "$VERIFY_VERDICT" ]; then
-    echo "fuzz corpus replay verdict differs across processes" >&2
-    exit 1
-fi
+verdict_gate 'corpus-verdict:' "fuzz corpus replay verdict differs across processes" \
+    gate 'cargo run --release --example fuzz -- gate "$FUZZ_CORPUS" 0xc5 4000' \
+    verified 'cargo run --release --example fuzz -- verify "$FUZZ_CORPUS"'
 
 echo "== fleet gate (2 workers, forced kill + torn file, merged-corpus round-trip) =="
 # A short fixed-seed 2-worker fuzzing fleet with one forced worker kill
@@ -109,14 +107,9 @@ echo "== fleet gate (2 workers, forced kill + torn file, merged-corpus round-tri
 # bit-identical verdict in a *second process*.
 FLEET_ROOT="$(mktemp -d -t pkvmfleet.XXXXXX)"
 trap 'rm -f "$TRACE_TMP" "$COMPACT_TMP" "$DIFF_TMP"; rm -rf "$FUZZ_CORPUS" "$FLEET_ROOT"' EXIT
-FLEET_VERDICT="$(cargo run --release --example fleet -- gate "$FLEET_ROOT" 0xc6 | grep '^fleet-verdict:')"
-FLEET_VERIFY="$(cargo run --release --example fleet -- verify "$FLEET_ROOT" | grep '^fleet-verdict:')"
-echo "  gate:     $FLEET_VERDICT"
-echo "  verified: $FLEET_VERIFY"
-if [ "$FLEET_VERDICT" != "$FLEET_VERIFY" ]; then
-    echo "fleet merged-corpus replay verdict differs across processes" >&2
-    exit 1
-fi
+verdict_gate 'fleet-verdict:' "fleet merged-corpus replay verdict differs across processes" \
+    gate 'cargo run --release --example fleet -- gate "$FLEET_ROOT" 0xc6' \
+    verified 'cargo run --release --example fleet -- verify "$FLEET_ROOT"'
 
 echo "== pipeline gate (E12: mode equivalence + pipelined throughput) =="
 # Runs the E3 workload at a fixed seed under CheckMode::Inline and
@@ -141,14 +134,9 @@ echo "== android gate (E16: protected boot, share/unshare, churn) =="
 # that reproduces when the saved trace is replayed in a *second* process.
 ANDROID_TMP="$(mktemp -t pkvmandroid.XXXXXX)"
 trap 'rm -f "$TRACE_TMP" "$COMPACT_TMP" "$DIFF_TMP" "$ANDROID_TMP"; rm -rf "$FUZZ_CORPUS" "$FLEET_ROOT"' EXIT
-ANDROID_GATE="$(cargo run --release --example android -- gate "$ANDROID_TMP" 0xe16 1200 | grep '^android-verdict:')"
-ANDROID_REPLAY="$(cargo run --release --example android -- replay "$ANDROID_TMP" | grep '^android-verdict:')"
-echo "  gate:     $ANDROID_GATE"
-echo "  replayed: $ANDROID_REPLAY"
-if [ "$ANDROID_GATE" != "$ANDROID_REPLAY" ]; then
-    echo "android trace replay verdict differs across processes" >&2
-    exit 1
-fi
+verdict_gate 'android-verdict:' "android trace replay verdict differs across processes" \
+    gate 'cargo run --release --example android -- gate "$ANDROID_TMP" 0xe16 1200' \
+    replayed 'cargo run --release --example android -- replay "$ANDROID_TMP"'
 
 echo "== mutation mini-sweep (3 bugs x 3 chaos families) =="
 # Known bugs injected while chaos corrupts the oracle's inputs; exits

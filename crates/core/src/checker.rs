@@ -37,7 +37,7 @@ use pkvm_hyp::hooks::Component;
 
 use crate::calldata::GhostCallData;
 use crate::check::Violation;
-use crate::oracle::{ComponentValue, Oracle, ResilienceSnapshot, TrapRecord};
+use crate::oracle::{ComponentValue, Oracle, TrapRecord};
 use crate::state::GhostCpu;
 
 /// Where the oracle's back half (ghost-copy maintenance and spec checks)
@@ -380,48 +380,55 @@ impl Checker {
 }
 
 /// A plain-value snapshot of the oracle's counters, taken at one instant.
-/// The replacement for scraping `Oracle`'s atomic `stats` field directly:
-/// a snapshot through [`Verdict::stats`] (after [`Verdict::wait`]) is
-/// coherent in both check modes.
+/// A snapshot through [`Verdict::stats`] (after [`Verdict::wait`]) is
+/// coherent in both check modes. Campaign reports carry one so a chaos
+/// sweep can tell *degraded but safe* from *saw nothing*.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct StatsSnapshot {
     /// Traps whose spec was computed and checked.
     pub traps_checked: u64,
-    /// Traps skipped under the loose specification.
+    /// Traps skipped under the loose specification (`Unchecked`).
     pub traps_unchecked: u64,
     /// Component abstractions computed (lock events).
     pub abstractions: u64,
     /// Individual `READ_ONCE` values recorded.
     pub read_onces: u64,
-    /// Per-component checks skipped as interleaved.
+    /// Per-component checks skipped because a foreign trap updated the
+    /// component between two of the checked trap's critical sections
+    /// (the atomic per-trap comparison does not apply).
     pub interleaved_skips: u64,
-    /// Oracle-internal panics contained.
+    /// Oracle-internal panics caught and converted into
+    /// [`Violation::OracleInternal`] instead of unwinding the caller.
     pub contained_panics: u64,
-    /// Hook events skipped under quarantine.
+    /// Hook events skipped because their component (or spec step) was
+    /// quarantined after repeated contained panics.
     pub quarantined_skips: u64,
-    /// Quarantined components recovered.
+    /// Quarantined components recovered by re-seeding from a full
+    /// abstraction pass once their bench time expired.
     pub quarantine_recoveries: u64,
-    /// Violation reports dropped at the bounded log.
+    /// Violation reports dropped because the bounded log was full.
     pub violations_dropped: u64,
-    /// Traps skipped because the per-trap budget ran out.
+    /// Traps whose check was skipped because the per-trap check budget
+    /// ran out mid-trap.
     pub degraded_traps: u64,
-    /// Lock events degraded to evictions under budget pressure.
+    /// Lock events degraded to a shared-copy eviction (no abstraction)
+    /// because the per-trap check budget was exhausted.
     pub budget_degraded_events: u64,
 }
 
 impl StatsSnapshot {
-    /// The resilience counters of this snapshot.
-    pub fn resilience(&self) -> ResilienceSnapshot {
-        ResilienceSnapshot {
-            contained_panics: self.contained_panics,
-            quarantined_skips: self.quarantined_skips,
-            quarantine_recoveries: self.quarantine_recoveries,
-            violations_dropped: self.violations_dropped,
-            degraded_traps: self.degraded_traps,
-            budget_degraded_events: self.budget_degraded_events,
-            interleaved_skips: self.interleaved_skips,
-        }
+    /// `true` when any degradation or containment machinery fired.
+    /// Interleaved skips are the loose spec's ordinary "unchecked"
+    /// answer, not degradation, so they do not count.
+    pub fn degraded(&self) -> bool {
+        self.contained_panics
+            + self.quarantined_skips
+            + self.quarantine_recoveries
+            + self.violations_dropped
+            + self.degraded_traps
+            + self.budget_degraded_events
+            > 0
     }
 }
 
@@ -466,11 +473,6 @@ impl Verdict {
         self.oracle.stats_snapshot()
     }
 
-    /// The resilience counters (containment/degradation machinery).
-    pub fn resilience(&self) -> ResilienceSnapshot {
-        self.stats().resilience()
-    }
-
     /// The most recent checked traps (bounded; newest last).
     pub fn trace(&self) -> Vec<TrapRecord> {
         self.oracle.trace()
@@ -494,18 +496,29 @@ mod tests {
     }
 
     #[test]
-    fn stats_snapshot_resilience_mirrors_the_counters() {
-        let s = StatsSnapshot {
-            contained_panics: 1,
-            quarantined_skips: 2,
-            degraded_traps: 3,
+    fn stats_snapshot_degraded_counts_only_the_containment_counters() {
+        assert!(!StatsSnapshot::default().degraded());
+        let interleaved = StatsSnapshot {
+            interleaved_skips: 5,
+            traps_checked: 7,
+            traps_unchecked: 2,
+            abstractions: 9,
+            read_onces: 4,
             ..Default::default()
         };
-        let r = s.resilience();
-        assert_eq!(r.contained_panics, 1);
-        assert_eq!(r.quarantined_skips, 2);
-        assert_eq!(r.degraded_traps, 3);
-        assert!(r.degraded());
-        assert!(!StatsSnapshot::default().resilience().degraded());
+        assert!(!interleaved.degraded());
+        let fired: [fn(&mut StatsSnapshot); 6] = [
+            |s| s.contained_panics = 1,
+            |s| s.quarantined_skips = 1,
+            |s| s.quarantine_recoveries = 1,
+            |s| s.violations_dropped = 1,
+            |s| s.degraded_traps = 1,
+            |s| s.budget_degraded_events = 1,
+        ];
+        for bump in fired {
+            let mut s = interleaved;
+            bump(&mut s);
+            assert!(s.degraded(), "{s:?}");
+        }
     }
 }

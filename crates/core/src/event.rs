@@ -480,7 +480,7 @@ impl EventStream {
 
     /// Reports a violation into the timeline and the bounded log. Returns
     /// `false` when the log was full and the report was dropped (the
-    /// caller counts drops — see `OracleStats::violations_dropped`).
+    /// caller counts drops — see `StatsSnapshot::violations_dropped`).
     pub fn violation(&self, lane: u32, trap: Option<u64>, v: Violation) -> bool {
         self.append(lane, trap, Event::Violation(v)).1
     }
@@ -563,7 +563,19 @@ impl EventSink for EventStream {
     }
 }
 
-/// Incremental FNV-1a-style folder for [`novelty_signature`]: feeds the
+/// The FNV-1a 64-bit offset basis: the starting value of an [`fnv1a`]
+/// fold.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the running FNV-1a 64-bit hash `h` (start from
+/// [`FNV_OFFSET`]). The one FNV fold behind every digest line.
+pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Incremental [`fnv1a`] folder for [`novelty_signature`]: feeds the
 /// *shape* of a timeline — trap names, check outcomes, lock/table-page
 /// component kinds, violation kinds — into one 64-bit hash, deliberately
 /// excluding concrete values (page numbers, register contents, VM handles,
@@ -576,8 +588,7 @@ pub struct ShapeHasher(u64);
 
 impl Default for ShapeHasher {
     fn default() -> Self {
-        // FNV-1a 64-bit offset basis.
-        ShapeHasher(0xcbf2_9ce4_8422_2325)
+        ShapeHasher(FNV_OFFSET)
     }
 }
 
@@ -588,14 +599,11 @@ impl ShapeHasher {
     }
 
     fn byte(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        self.0 = fnv1a(self.0, &[b]);
     }
 
     fn tag(&mut self, s: &str) {
-        for b in s.as_bytes() {
-            self.byte(*b);
-        }
+        self.0 = fnv1a(self.0, s.as_bytes());
         self.byte(0);
     }
 

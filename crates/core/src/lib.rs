@@ -33,7 +33,7 @@
 //! use pkvm_hyp::hypercalls::HVC_HOST_SHARE_HYP;
 //!
 //! let config = MachineConfig::default();
-//! let oracle = Oracle::builder(&config).build();
+//! let oracle = Oracle::new(&config, OracleOpts::default());
 //! let machine = Machine::boot(config, oracle.clone(), Arc::new(FaultSet::none()));
 //! assert!(oracle.check_boot());
 //! let ret = machine.hvc(0, HVC_HOST_SHARE_HYP, &[0x40100]);
@@ -68,12 +68,12 @@ pub use checker::{CheckMode, Checker, StatsSnapshot, Verdict};
 pub use containment::{contain, Disposition, Quarantine};
 pub use diff::diff_states;
 pub use event::{
-    canonical_signature, novelty_signature, ChaosKind, Event, EventCursor, EventRecord, EventSink,
-    EventStream, ShapeHasher, TraceStats, DERIVED_SEQ_BASE, TRACE_CAP,
+    canonical_signature, fnv1a, novelty_signature, ChaosKind, Event, EventCursor, EventRecord,
+    EventSink, EventStream, ShapeHasher, TraceStats, DERIVED_SEQ_BASE, FNV_OFFSET, TRACE_CAP,
 };
 pub use maplet::{AbsAttrs, Maplet, MapletTarget};
 pub use mapping::Mapping;
-pub use oracle::{Oracle, OracleOpts, OracleStats, ResilienceSnapshot, TrapOutcome, TrapRecord};
+pub use oracle::{Oracle, OracleOpts, TrapOutcome, TrapRecord};
 pub use print::render_state;
 pub use spec::{compute_post, SpecVerdict};
 pub use state::{

@@ -21,10 +21,6 @@
 //! checks. [`CheckMode`] selects whether the back half runs inline in the
 //! hook or on a pipelined checker thread.
 
-// The deprecated `Oracle::stats` field is still the storage the oracle
-// writes; external readers should migrate to `Verdict::stats()`.
-#![allow(deprecated)]
-
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -80,7 +76,7 @@ pub struct OracleOpts {
     /// cache is maintained; the *full* result feeds the checks.
     pub shadow_validation: bool,
     /// Upper bound on retained violation reports; excess reports are
-    /// dropped and counted in `OracleStats::violations_dropped` so a
+    /// dropped and counted in [`StatsSnapshot::violations_dropped`] so a
     /// pathological run cannot exhaust memory through its own findings.
     pub violation_cap: usize,
     /// Per-trap budget of lock events processed at full fidelity. Beyond
@@ -99,22 +95,6 @@ pub struct OracleOpts {
     /// each hook, or pipelined onto a checker thread behind the
     /// execution frontier. See [`CheckMode`].
     pub check_mode: CheckMode,
-    /// Check the break-before-make discipline: every unmap or
-    /// permission-tighten of a live mapping must be followed by the
-    /// matching-scope broadcast TLBI plus DSB before its trap exits,
-    /// else [`Violation::BreakBeforeMake`] anchored on the offending
-    /// table write.
-    pub check_break_before_make: bool,
-    /// Check that the host never regains stage-2 access to a page donated
-    /// to a protected VM as firmware — for the VM's whole lifetime,
-    /// including across teardown and handle reuse
-    /// ([`Violation::FirmwareProtection`]).
-    pub check_firmware_protection: bool,
-    /// Check the page-transfer protocol: every ownership transition must
-    /// depart from the state the protocol prescribes for its edge
-    /// ([`Violation::TransferProtocol`]), and a reclaimed page must reach
-    /// the host wiped ([`Violation::ReclaimWipe`]).
-    pub check_transfer_protocol: bool,
 }
 
 impl Default for OracleOpts {
@@ -129,9 +109,6 @@ impl Default for OracleOpts {
             quarantine_threshold: 3,
             quarantine_traps: 16,
             check_mode: CheckMode::Inline,
-            check_break_before_make: true,
-            check_firmware_protection: true,
-            check_transfer_protocol: true,
         }
     }
 }
@@ -207,24 +184,6 @@ impl OracleOptsBuilder {
         self
     }
 
-    /// Toggle the break-before-make discipline check (default on).
-    pub fn check_break_before_make(mut self, on: bool) -> Self {
-        self.0.check_break_before_make = on;
-        self
-    }
-
-    /// Toggle the firmware-protection check (default on).
-    pub fn check_firmware_protection(mut self, on: bool) -> Self {
-        self.0.check_firmware_protection = on;
-        self
-    }
-
-    /// Toggle the transfer-protocol check (default on).
-    pub fn check_transfer_protocol(mut self, on: bool) -> Self {
-        self.0.check_transfer_protocol = on;
-        self
-    }
-
     /// Finishes the builder.
     pub fn build(self) -> OracleOpts {
         self.0
@@ -254,88 +213,22 @@ pub enum TrapOutcome {
     Unchecked(String),
 }
 
-/// Counters reported alongside violations (for the evaluation harness).
+/// The live storage behind [`StatsSnapshot`]: the same counters as
+/// relaxed atomics, so every hook bumps them without a lock. Read them
+/// only through [`Oracle::stats_snapshot`].
 #[derive(Debug, Default)]
-pub struct OracleStats {
-    /// Traps whose spec was computed and checked.
-    pub traps_checked: AtomicU64,
-    /// Traps skipped under the loose specification (`Unchecked`).
-    pub traps_unchecked: AtomicU64,
-    /// Component abstractions computed (lock events).
-    pub abstractions: AtomicU64,
-    /// Individual `READ_ONCE` values recorded.
-    pub read_onces: AtomicU64,
-    /// Per-component checks skipped because a foreign trap updated the
-    /// component between two of the checked trap's critical sections
-    /// (the atomic per-trap comparison does not apply).
-    pub interleaved_skips: AtomicU64,
-    /// Oracle-internal panics caught and converted into
-    /// [`Violation::OracleInternal`] instead of unwinding the caller.
-    pub contained_panics: AtomicU64,
-    /// Hook events skipped because their component (or spec step) was
-    /// quarantined after repeated contained panics.
-    pub quarantined_skips: AtomicU64,
-    /// Quarantined components recovered by re-seeding from a full
-    /// abstraction pass once their bench time expired.
-    pub quarantine_recoveries: AtomicU64,
-    /// Violation reports dropped because the bounded log was full.
-    pub violations_dropped: AtomicU64,
-    /// Traps whose check was skipped because the per-trap check budget
-    /// ran out mid-trap.
-    pub degraded_traps: AtomicU64,
-    /// Lock events degraded to a shared-copy eviction (no abstraction)
-    /// because the per-trap check budget was exhausted.
-    pub budget_degraded_events: AtomicU64,
-}
-
-/// A plain-value snapshot of the oracle's resilience counters: everything
-/// that says "the oracle absorbed trouble without crashing". Campaign
-/// reports carry this so a chaos sweep can distinguish *degraded but
-/// safe* from *saw nothing*.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ResilienceSnapshot {
-    /// See [`OracleStats::contained_panics`].
-    pub contained_panics: u64,
-    /// See [`OracleStats::quarantined_skips`].
-    pub quarantined_skips: u64,
-    /// See [`OracleStats::quarantine_recoveries`].
-    pub quarantine_recoveries: u64,
-    /// See [`OracleStats::violations_dropped`].
-    pub violations_dropped: u64,
-    /// See [`OracleStats::degraded_traps`].
-    pub degraded_traps: u64,
-    /// See [`OracleStats::budget_degraded_events`].
-    pub budget_degraded_events: u64,
-    /// See [`OracleStats::interleaved_skips`].
-    pub interleaved_skips: u64,
-}
-
-impl ResilienceSnapshot {
-    /// `true` when any degradation or containment machinery fired.
-    pub fn degraded(&self) -> bool {
-        self.contained_panics
-            + self.quarantined_skips
-            + self.quarantine_recoveries
-            + self.violations_dropped
-            + self.degraded_traps
-            + self.budget_degraded_events
-            > 0
-    }
-}
-
-impl OracleStats {
-    /// Snapshots the resilience counters.
-    pub fn resilience(&self) -> ResilienceSnapshot {
-        ResilienceSnapshot {
-            contained_panics: self.contained_panics.load(Ordering::Relaxed),
-            quarantined_skips: self.quarantined_skips.load(Ordering::Relaxed),
-            quarantine_recoveries: self.quarantine_recoveries.load(Ordering::Relaxed),
-            violations_dropped: self.violations_dropped.load(Ordering::Relaxed),
-            degraded_traps: self.degraded_traps.load(Ordering::Relaxed),
-            budget_degraded_events: self.budget_degraded_events.load(Ordering::Relaxed),
-            interleaved_skips: self.interleaved_skips.load(Ordering::Relaxed),
-        }
-    }
+struct Counters {
+    traps_checked: AtomicU64,
+    traps_unchecked: AtomicU64,
+    abstractions: AtomicU64,
+    read_onces: AtomicU64,
+    interleaved_skips: AtomicU64,
+    contained_panics: AtomicU64,
+    quarantined_skips: AtomicU64,
+    quarantine_recoveries: AtomicU64,
+    violations_dropped: AtomicU64,
+    degraded_traps: AtomicU64,
+    budget_degraded_events: AtomicU64,
 }
 
 /// Key of one shared-copy component (the update-stamp granularity).
@@ -765,14 +658,7 @@ pub struct Oracle {
     xfer: Mutex<TransferTracker>,
     /// Firmware-protection ledger (back-half state).
     firmware: Mutex<FirmwareTracker>,
-    /// Counters.
-    #[deprecated(
-        since = "0.6.0",
-        note = "scraping the atomics races the pipelined checker; read \
-                `Verdict::stats()` (or `Oracle::stats_snapshot`) after a \
-                `wait()` instead"
-    )]
-    pub stats: OracleStats,
+    counters: Counters,
 }
 
 impl Oracle {
@@ -861,7 +747,7 @@ impl Oracle {
             bbm: Mutex::new(BbmTracker::default()),
             xfer: Mutex::new(TransferTracker::default()),
             firmware: Mutex::new(FirmwareTracker::default()),
-            stats: OracleStats::default(),
+            counters: Counters::default(),
         });
         if let Some(rx) = rx {
             // The thread holds only a weak reference: dropping the last
@@ -874,16 +760,6 @@ impl Oracle {
                 .expect("spawn checker thread");
         }
         oracle
-    }
-
-    /// Starts a builder for machines booted from `config`; configure the
-    /// switches fluently, then [`build`](OracleBuilder::build).
-    pub fn builder(config: &MachineConfig) -> OracleBuilder<'_> {
-        OracleBuilder {
-            config,
-            opts: OracleOpts::default(),
-            events: None,
-        }
     }
 
     /// A [`Checker`] handle over this oracle (mode inspection, explicit
@@ -920,7 +796,7 @@ impl Oracle {
     /// call [`Oracle::barrier`] (or go through [`Verdict`]) first, or the
     /// snapshot can straddle the check frontier.
     pub fn stats_snapshot(&self) -> StatsSnapshot {
-        let s = &self.stats;
+        let s = &self.counters;
         StatsSnapshot {
             traps_checked: s.traps_checked.load(Ordering::Relaxed),
             traps_unchecked: s.traps_unchecked.load(Ordering::Relaxed),
@@ -976,7 +852,9 @@ impl Oracle {
             p.note_applied();
         }
         if let Err(payload) = res {
-            self.stats.contained_panics.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .contained_panics
+                .fetch_add(1, Ordering::Relaxed);
             self.quarantine.record_failure(&key);
             self.report_all_at(
                 0,
@@ -1057,7 +935,7 @@ impl Oracle {
         self.annotate_vm_uniq(&mut new);
         for v in new {
             if !self.events.violation(cpu as u32, trap, v) {
-                self.stats
+                self.counters
                     .violations_dropped
                     .fetch_add(1, Ordering::Relaxed);
             }
@@ -1098,7 +976,9 @@ impl Oracle {
         match contain(f) {
             Ok(()) => self.quarantine.record_success(key),
             Err(payload) => {
-                self.stats.contained_panics.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .contained_panics
+                    .fetch_add(1, Ordering::Relaxed);
                 self.quarantine.record_failure(key);
                 self.dispatch(CheckMsg::Report {
                     cpu: 0,
@@ -1164,7 +1044,9 @@ impl Oracle {
     /// compared, marking it interleaved so the running trap's check
     /// ignores it.
     fn note_quarantine_skip(&self, cpu: usize, trap: Option<u64>, comp: Component) {
-        self.stats.quarantined_skips.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .quarantined_skips
+            .fetch_add(1, Ordering::Relaxed);
         self.dispatch(CheckMsg::Evict {
             cpu,
             trap,
@@ -1216,7 +1098,7 @@ impl Oracle {
         view: &ComponentView,
         comp: Component,
     ) -> (ComponentValue, Vec<Violation>) {
-        self.stats.abstractions.fetch_add(1, Ordering::Relaxed);
+        self.counters.abstractions.fetch_add(1, Ordering::Relaxed);
         let cached = self.opts.uses_cache();
         let mut anomalies = Vec::new();
         let mut reports = Vec::new();
@@ -1654,110 +1536,6 @@ impl Oracle {
     }
 }
 
-/// Fluent construction of an [`Oracle`]; see [`Oracle::builder`].
-pub struct OracleBuilder<'a> {
-    config: &'a MachineConfig,
-    opts: OracleOpts,
-    events: Option<Arc<EventStream>>,
-}
-
-impl OracleBuilder<'_> {
-    /// Replaces the accumulated switches wholesale.
-    pub fn opts(mut self, opts: OracleOpts) -> Self {
-        self.opts = opts;
-        self
-    }
-
-    /// Records into a shared [`EventStream`] instead of a private one.
-    pub fn events(mut self, stream: Arc<EventStream>) -> Self {
-        self.events = Some(stream);
-        self
-    }
-
-    /// Toggle the §4.4 non-interference check (default on).
-    pub fn check_noninterference(mut self, on: bool) -> Self {
-        self.opts.check_noninterference = on;
-        self
-    }
-
-    /// Toggle the §4.4 footprint-separation check (default on).
-    pub fn check_separation(mut self, on: bool) -> Self {
-        self.opts.check_separation = on;
-        self
-    }
-
-    /// Toggle the incremental abstraction cache (default off).
-    pub fn incremental_abstraction(mut self, on: bool) -> Self {
-        self.opts.incremental_abstraction = on;
-        self
-    }
-
-    /// Toggle shadow validation of the incremental cache (default off).
-    pub fn shadow_validation(mut self, on: bool) -> Self {
-        self.opts.shadow_validation = on;
-        self
-    }
-
-    /// Caps the retained violation log (default 4096, minimum 1).
-    pub fn violation_cap(mut self, cap: usize) -> Self {
-        self.opts.violation_cap = cap.max(1);
-        self
-    }
-
-    /// Caps checked hook events per trap before degrading (default
-    /// unlimited).
-    pub fn trap_check_budget(mut self, budget: u64) -> Self {
-        self.opts.trap_check_budget = budget;
-        self
-    }
-
-    /// Contained panics of one component before it is quarantined
-    /// (default 3).
-    pub fn quarantine_threshold(mut self, n: u32) -> Self {
-        self.opts.quarantine_threshold = n;
-        self
-    }
-
-    /// Traps a quarantined component sits out before recovery
-    /// (default 16).
-    pub fn quarantine_traps(mut self, n: u64) -> Self {
-        self.opts.quarantine_traps = n;
-        self
-    }
-
-    /// Where the check core runs (default [`CheckMode::Inline`]).
-    pub fn check_mode(mut self, mode: CheckMode) -> Self {
-        self.opts.check_mode = mode;
-        self
-    }
-
-    /// Toggle the break-before-make discipline check (default on).
-    pub fn check_break_before_make(mut self, on: bool) -> Self {
-        self.opts.check_break_before_make = on;
-        self
-    }
-
-    /// Toggle the firmware-protection check (default on).
-    pub fn check_firmware_protection(mut self, on: bool) -> Self {
-        self.opts.check_firmware_protection = on;
-        self
-    }
-
-    /// Toggle the transfer-protocol check (default on).
-    pub fn check_transfer_protocol(mut self, on: bool) -> Self {
-        self.opts.check_transfer_protocol = on;
-        self
-    }
-
-    /// Builds the oracle.
-    pub fn build(self) -> Arc<Oracle> {
-        match self.events {
-            Some(stream) => Oracle::with_stream(self.config, self.opts, stream),
-            None => Oracle::new(self.config, self.opts),
-        }
-    }
-}
-
 /// Renders what differed between the full walk and the incremental
 /// replay, maplet by maplet — and for the host, between the full and the
 /// memoised partition — for the shadow-divergence report.
@@ -1834,7 +1612,7 @@ impl Oracle {
         let mut computed = GhostState::blank(&self.globals);
         match compute_post(&rec.pre, call, &mut computed) {
             SpecVerdict::Checked => {
-                self.stats.traps_checked.fetch_add(1, Ordering::Relaxed);
+                self.counters.traps_checked.fetch_add(1, Ordering::Relaxed);
                 let mut outcome = check_trap(name, &rec.pre, &rec.post, &computed);
                 if !rec.interleaved.is_empty() {
                     // Foreign traps updated these components between two of
@@ -1851,7 +1629,9 @@ impl Oracle {
                         };
                         let skip = comp_key_of_name(comp).is_some_and(|k| interleaved.contains(&k));
                         if skip {
-                            self.stats.interleaved_skips.fetch_add(1, Ordering::Relaxed);
+                            self.counters
+                                .interleaved_skips
+                                .fetch_add(1, Ordering::Relaxed);
                         }
                         !skip
                     });
@@ -1878,7 +1658,9 @@ impl Oracle {
                 }
             }
             SpecVerdict::Unchecked(why) => {
-                self.stats.traps_unchecked.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .traps_unchecked
+                    .fetch_add(1, Ordering::Relaxed);
                 self.push_trace(
                     rec.trap_seq,
                     TrapRecord {
@@ -2058,11 +1840,7 @@ impl Oracle {
                 vmid,
                 ia,
                 nr,
-            } => {
-                if self.opts.check_break_before_make {
-                    self.bbm.lock().note_break(cpu, seq, vmid, ia, nr);
-                }
-            }
+            } => self.bbm.lock().note_break(cpu, seq, vmid, ia, nr),
             CheckMsg::Tlbi {
                 cpu,
                 vmid,
@@ -2070,15 +1848,11 @@ impl Oracle {
                 nr,
                 broadcast,
             } => {
-                if self.opts.check_break_before_make && broadcast {
+                if broadcast {
                     self.bbm.lock().note_tlbi(cpu, vmid, ia, nr);
                 }
             }
-            CheckMsg::Dsb { cpu } => {
-                if self.opts.check_break_before_make {
-                    self.bbm.lock().note_dsb(cpu);
-                }
-            }
+            CheckMsg::Dsb { cpu } => self.bbm.lock().note_dsb(cpu),
             CheckMsg::Transfer {
                 cpu,
                 trap,
@@ -2100,9 +1874,6 @@ impl Oracle {
                     TransferEdge::Firmware => "spec/transfer/firmware",
                     TransferEdge::Reclaim => "spec/transfer/reclaim",
                 });
-                if !self.opts.check_transfer_protocol {
-                    return;
-                }
                 let mut violations = Vec::new();
                 let mut xfer = self.xfer.lock();
                 for p in pfn..pfn.saturating_add(nr) {
@@ -2131,11 +1902,7 @@ impl Oracle {
                 uniq,
                 pfn,
                 nr,
-            } => {
-                if self.opts.check_firmware_protection {
-                    self.firmware.lock().note_donate(handle, uniq, pfn, nr);
-                }
-            }
+            } => self.firmware.lock().note_donate(handle, uniq, pfn, nr),
             CheckMsg::HostRegain {
                 cpu,
                 trap,
@@ -2143,11 +1910,9 @@ impl Oracle {
                 pfn,
                 nr,
             } => {
-                if self.opts.check_firmware_protection {
-                    let violations = self.firmware.lock().check_regain(seq, pfn, nr);
-                    if !violations.is_empty() {
-                        self.report_all_at(cpu, trap, violations);
-                    }
+                let violations = self.firmware.lock().check_regain(seq, pfn, nr);
+                if !violations.is_empty() {
+                    self.report_all_at(cpu, trap, violations);
                 }
             }
             CheckMsg::Report {
@@ -2169,9 +1934,6 @@ impl Oracle {
     /// critical section's release message, so a clean run never trips
     /// this.
     fn firmware_backstop(&self, cpu: usize, trap: Option<u64>, value: &ComponentValue) {
-        if !self.opts.check_firmware_protection {
-            return;
-        }
         if let ComponentValue::Host(h) = value {
             let violations = self.firmware.lock().scan_host(h);
             if !violations.is_empty() {
@@ -2213,21 +1975,19 @@ impl Oracle {
         // below: a degraded or quarantined spec check never excuses an
         // unflushed downgrade, and the ledger must not leak into the
         // next trap on this CPU.
-        if self.opts.check_break_before_make {
-            let leftovers = self.bbm.lock().drain(cpu);
-            if !leftovers.is_empty() {
-                let violations = leftovers
-                    .into_iter()
-                    .map(|b| Violation::BreakBeforeMake {
-                        seq: Some(b.seq),
-                        trap: name.clone(),
-                        vmid: b.vmid,
-                        ia: b.ia,
-                        nr: b.nr,
-                    })
-                    .collect();
-                self.report_all_at(cpu, trap, violations);
-            }
+        let leftovers = self.bbm.lock().drain(cpu);
+        if !leftovers.is_empty() {
+            let violations = leftovers
+                .into_iter()
+                .map(|b| Violation::BreakBeforeMake {
+                    seq: Some(b.seq),
+                    trap: name.clone(),
+                    vmid: b.vmid,
+                    ia: b.ia,
+                    nr: b.nr,
+                })
+                .collect();
+            self.report_all_at(cpu, trap, violations);
         }
         let mut rec = self.cpus[cpu].lock();
         // Phase 1: finish the recording. Contained so a panic leaves the
@@ -2257,7 +2017,9 @@ impl Oracle {
             }
             Err(payload) => {
                 drop(rec);
-                self.stats.contained_panics.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .contained_panics
+                    .fetch_add(1, Ordering::Relaxed);
                 self.quarantine.record_failure("trap_exit");
                 self.report_at(
                     cpu,
@@ -2274,8 +2036,10 @@ impl Oracle {
         // Phase 2: the check — unless this trap degraded under budget
         // pressure, or this handler's spec step is quarantined.
         if degraded {
-            self.stats.degraded_traps.fetch_add(1, Ordering::Relaxed);
-            self.stats.traps_unchecked.fetch_add(1, Ordering::Relaxed);
+            self.counters.degraded_traps.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .traps_unchecked
+                .fetch_add(1, Ordering::Relaxed);
             self.push_trace(
                 trap,
                 TrapRecord {
@@ -2289,8 +2053,12 @@ impl Oracle {
         let spec_key = format!("spec:{name}");
         match self.quarantine.disposition(&spec_key) {
             Disposition::Skip => {
-                self.stats.quarantined_skips.fetch_add(1, Ordering::Relaxed);
-                self.stats.traps_unchecked.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .quarantined_skips
+                    .fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .traps_unchecked
+                    .fetch_add(1, Ordering::Relaxed);
                 self.push_trace(
                     trap,
                     TrapRecord {
@@ -2302,7 +2070,7 @@ impl Oracle {
                 return;
             }
             Disposition::Recover => {
-                self.stats
+                self.counters
                     .quarantine_recoveries
                     .fetch_add(1, Ordering::Relaxed);
             }
@@ -2311,7 +2079,9 @@ impl Oracle {
         match contain(|| self.spec_and_check(cpu, &rec, &call, &name)) {
             Ok(()) => self.quarantine.record_success(&spec_key),
             Err(payload) => {
-                self.stats.contained_panics.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .contained_panics
+                    .fetch_add(1, Ordering::Relaxed);
                 self.quarantine.record_failure(&spec_key);
                 self.push_trace(
                     trap,
@@ -2387,7 +2157,9 @@ impl GhostHooks for Oracle {
         let cpu_state = match prep {
             Ok(state) => state,
             Err(payload) => {
-                self.stats.contained_panics.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .contained_panics
+                    .fetch_add(1, Ordering::Relaxed);
                 self.quarantine.record_failure("trap_exit");
                 self.dispatch(CheckMsg::Report {
                     cpu: ctx.cpu,
@@ -2452,7 +2224,7 @@ impl GhostHooks for Oracle {
             // is unknown, so the non-interference comparison is skipped
             // exactly once.
             Disposition::Recover => {
-                self.stats
+                self.counters
                     .quarantine_recoveries
                     .fetch_add(1, Ordering::Relaxed);
                 false
@@ -2460,7 +2232,7 @@ impl GhostHooks for Oracle {
             Disposition::Process => true,
         };
         if self.budget_exhausted(ctx.cpu) {
-            self.stats
+            self.counters
                 .budget_degraded_events
                 .fetch_add(1, Ordering::Relaxed);
             self.dispatch(CheckMsg::Evict {
@@ -2500,14 +2272,14 @@ impl GhostHooks for Oracle {
             // A release *is* a full abstraction pass recorded into the
             // shared copy, so recovery needs no special casing here.
             Disposition::Recover => {
-                self.stats
+                self.counters
                     .quarantine_recoveries
                     .fetch_add(1, Ordering::Relaxed);
             }
             Disposition::Process => {}
         }
         if self.budget_exhausted(ctx.cpu) {
-            self.stats
+            self.counters
                 .budget_degraded_events
                 .fetch_add(1, Ordering::Relaxed);
             self.dispatch(CheckMsg::Evict {
@@ -2531,7 +2303,7 @@ impl GhostHooks for Oracle {
     }
 
     fn read_once(&self, ctx: &HookCtx<'_>, tag: &'static str, value: u64) {
-        self.stats.read_onces.fetch_add(1, Ordering::Relaxed);
+        self.counters.read_onces.fetch_add(1, Ordering::Relaxed);
         self.guarded("read_once", || {
             let trap = self.current_trap(ctx.cpu);
             self.events.emit(
@@ -2773,9 +2545,10 @@ mod tests {
 
     #[test]
     fn separation_check_can_be_disabled() {
-        let o = Oracle::builder(&MachineConfig::default())
-            .check_separation(false)
-            .build();
+        let o = Oracle::new(
+            &MachineConfig::default(),
+            OracleOpts::builder().check_separation(false).build(),
+        );
         let mem = pkvm_aarch64::memory::PhysMem::new(vec![]);
         let ctx = HookCtx { mem: &mem, cpu: 0 };
         let page = PhysAddr::new(0x4400_0000);
@@ -3018,7 +2791,7 @@ mod tests {
             Violation::OracleInternal { component, payload, .. }
                 if component == "host" && payload.contains("chaos")
         )));
-        assert_eq!(o.stats.contained_panics.load(Ordering::Relaxed), 3);
+        assert_eq!(o.stats_snapshot().contained_panics, 3);
         assert_eq!(o.quarantine.disposition("host"), Disposition::Skip);
         assert_eq!(o.quarantined(), 1);
         // After its bench time the component recovers exactly once.
@@ -3042,7 +2815,7 @@ mod tests {
         }
         assert_eq!(o.violations().len(), 4);
         assert_eq!(o.violation_count(), 4);
-        assert_eq!(o.stats.violations_dropped.load(Ordering::Relaxed), 6);
+        assert_eq!(o.stats_snapshot().violations_dropped, 6);
     }
 
     #[test]
@@ -3205,19 +2978,6 @@ mod tests {
     }
 
     #[test]
-    fn break_before_make_check_can_be_disabled() {
-        let o = Oracle::builder(&MachineConfig::default())
-            .check_break_before_make(false)
-            .build();
-        let mem = pkvm_aarch64::memory::PhysMem::new(vec![]);
-        let ctx = HookCtx { mem: &mem, cpu: 0 };
-        o.trap_enter(&ctx, Esr::hvc64(0), None, &GprFile::default(), None);
-        o.pte_downgrade(&ctx, 1, 0x8000, 2);
-        o.trap_exit(&ctx, &GprFile::default(), None);
-        assert!(bbm_violations(&o).is_empty());
-    }
-
-    #[test]
     fn transfer_protocol_accepts_the_clean_round_trips() {
         use TransferEdge::*;
         let o = oracle();
@@ -3353,20 +3113,5 @@ mod tests {
             ),
             "{vs:?}"
         );
-    }
-
-    #[test]
-    fn android_checks_can_be_disabled() {
-        let o = Oracle::builder(&MachineConfig::default())
-            .check_transfer_protocol(false)
-            .check_firmware_protection(false)
-            .build();
-        let mem = pkvm_aarch64::memory::PhysMem::new(vec![]);
-        let ctx = HookCtx { mem: &mem, cpu: 0 };
-        o.transfer(&ctx, TransferEdge::UnshareHyp, 0x100, 1, false);
-        o.transfer(&ctx, TransferEdge::Reclaim, 0x200, 1, true);
-        o.firmware_donated(&ctx, 0x1000, 1, 0x400, 1);
-        o.host_regain(&ctx, 0x400, 1);
-        assert!(o.is_clean(), "{:?}", o.violations());
     }
 }

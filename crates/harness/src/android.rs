@@ -9,8 +9,8 @@
 //! the life of the VM, and the system continuously creates and destroys
 //! VMs, recycling handles and memcache pages. This module drives those
 //! three families through the same [`Proxy`] stack, paired with the
-//! oracle's Android-surface spec points (`check_firmware_protection`,
-//! `check_transfer_protocol`).
+//! oracle's Android-surface spec checks (firmware protection and the
+//! transfer protocol), which always run.
 //!
 //! Everything here is deterministic: scenarios take a booted proxy and
 //! panic on failure, like [`crate::scenarios::Scenario`] bodies, and the

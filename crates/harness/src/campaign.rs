@@ -26,14 +26,15 @@ use std::time::{Duration, Instant};
 
 use pkvm_aarch64::addr::PhysAddr;
 use pkvm_ghost::event::{Event, EventRecord};
-use pkvm_ghost::oracle::{OracleOpts, ResilienceSnapshot};
-use pkvm_ghost::{CheckMode, Violation};
+use pkvm_ghost::oracle::OracleOpts;
+use pkvm_ghost::{CheckMode, StatsSnapshot, Violation};
 use pkvm_hyp::faults::FaultSet;
 use pkvm_hyp::machine::MachineConfig;
 
 use crate::chaos::{ChaosCfg, ChaosDriver, ChaosInjected};
 use crate::proxy::Proxy;
 use crate::random::{RandomCfg, RandomTester, RunStats};
+use crate::rng::splitmix64;
 use crate::tracefile::{TraceFileError, TraceHeader};
 
 /// Campaign configuration.
@@ -262,10 +263,10 @@ pub struct CampaignReport {
     pub hyp_panic: Option<String>,
     /// Wall-clock duration of the campaign.
     pub elapsed: Duration,
-    /// The oracle's resilience counters after the campaign: contained
-    /// panics, quarantine activity, budget degradation, dropped
-    /// violations (all zero without an oracle).
-    pub resilience: ResilienceSnapshot,
+    /// The oracle's counters after the campaign, including its
+    /// resilience counters: contained panics, quarantine activity, budget
+    /// degradation, dropped violations (all zero without an oracle).
+    pub oracle_stats: StatsSnapshot,
     /// What the chaos engine injected (`None` without chaos).
     pub chaos_injected: Option<ChaosInjected>,
     /// The replay trace, when recording was enabled.
@@ -340,7 +341,7 @@ impl CampaignReport {
                 c.stale_tlbs,
             );
         }
-        let r = &self.resilience;
+        let r = &self.oracle_stats;
         if r.degraded() {
             let _ = writeln!(
                 out,
@@ -358,13 +359,10 @@ impl CampaignReport {
 }
 
 /// Derives worker `w`'s seed from the campaign base seed (one
-/// splitmix64-style finalisation over the stream index, so neighbouring
+/// [`splitmix64`] finalisation over the stream index, so neighbouring
 /// workers get well-separated streams).
 pub fn worker_seed(base: u64, w: usize) -> u64 {
-    let mut z = base ^ (w as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    splitmix64(base ^ (w as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
 /// How often a worker polls the stop conditions, in steps. Polling reads
@@ -496,7 +494,7 @@ pub fn run(cfg: &CampaignCfg) -> CampaignReport {
         violations,
         hyp_panic: machine.panicked(),
         elapsed: start.elapsed(),
-        resilience: verdict.as_ref().map(|v| v.resilience()).unwrap_or_default(),
+        oracle_stats: verdict.as_ref().map(|v| v.stats()).unwrap_or_default(),
         chaos_injected: proxy.chaos_injected(),
         trace,
     }

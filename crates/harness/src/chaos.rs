@@ -821,7 +821,7 @@ pub fn classify(report: &CampaignReport) -> RunVerdict {
         RunVerdict::Detected
     } else if report.workers.iter().any(|w| w.panicked.is_some()) {
         RunVerdict::ImplPanic
-    } else if report.resilience.degraded() {
+    } else if report.oracle_stats.degraded() {
         RunVerdict::DegradedSafe
     } else {
         RunVerdict::Silent
@@ -972,8 +972,8 @@ pub fn detection_matrix(cfg: &MatrixCfg) -> ChaosMatrix {
                 .chaos(chaos)
                 .run();
             row.injected += report.chaos_injected.map(|c| c.total()).unwrap_or(0);
-            row.contained += report.resilience.contained_panics;
-            contained_total += report.resilience.contained_panics;
+            row.contained += report.oracle_stats.contained_panics;
+            contained_total += report.oracle_stats.contained_panics;
             match classify(&report) {
                 RunVerdict::Detected => row.detected += 1,
                 RunVerdict::ImplPanic => row.impl_panics += 1,
@@ -1033,7 +1033,7 @@ pub fn mutation_sweep(
                 fault,
                 family,
                 detected: !report.violations.is_empty() || report.hyp_panic.is_some(),
-                contained: report.resilience.contained_panics,
+                contained: report.oracle_stats.contained_panics,
                 impl_panic: report.workers.iter().any(|w| w.panicked.is_some()),
             });
         }

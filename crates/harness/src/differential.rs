@@ -32,7 +32,7 @@
 
 use std::path::Path;
 
-use pkvm_ghost::Violation;
+use pkvm_ghost::{fnv1a, Violation, FNV_OFFSET};
 use pkvm_hyp::faults::Fault;
 
 use crate::campaign::ReplayMachine;
@@ -136,7 +136,7 @@ impl DiffMatrix {
     /// Replay determinism makes this line bit-identical across
     /// processes; ci.sh compares two independent computations of it.
     pub fn matrix_line(&self) -> String {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = FNV_OFFSET;
         for row in &self.rows {
             let first = row
                 .first_divergence
@@ -150,10 +150,7 @@ impl DiffMatrix {
                 row.hyp_panic,
                 row.kinds.join(",")
             );
-            for b in line.bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            h = fnv1a(h, line.as_bytes());
         }
         format!(
             "diff-matrix: events={} detected={}/{} clean-viol={} fnv={:#018x}",

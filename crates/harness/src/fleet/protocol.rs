@@ -33,6 +33,8 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
+use pkvm_ghost::{fnv1a, FNV_OFFSET};
+
 use crate::tracefile::{atomic_write, FORMAT_VERSION, MAGIC};
 
 /// Path arithmetic for one fleet root.
@@ -407,12 +409,7 @@ impl WorkerCfg {
 /// FNV-1a over raw bytes — the content identity the merge loop dedups
 /// by, so a seed ping-ponging worker → merged → worker is merged once.
 pub fn content_hash(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a(FNV_OFFSET, bytes)
 }
 
 /// Writes a deliberately torn seed file into `dir`: a valid magic and

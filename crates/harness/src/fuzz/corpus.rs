@@ -17,6 +17,8 @@
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
+use pkvm_ghost::{fnv1a, FNV_OFFSET};
+
 use crate::campaign::{replay_stream, CampaignTrace};
 use crate::tracefile::{save_trace, TraceFileError, TraceReader};
 
@@ -309,13 +311,8 @@ pub fn load_dir(dir: &Path) -> Vec<(PathBuf, CampaignTrace)> {
 /// identical `(seed count, digest)` pair: the cross-process
 /// bit-identical-replay check used by both the fuzz and fleet gates.
 pub fn replay_digest(dir: &Path) -> (usize, u64) {
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    let mut fold = |s: &str| {
-        for b in s.bytes() {
-            digest ^= b as u64;
-            digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut digest = FNV_OFFSET;
+    let mut fold = |s: &str| digest = fnv1a(digest, s.as_bytes());
     let mut count = 0usize;
     for path in seed_paths(dir) {
         let Ok(reader) = TraceReader::open(&path) else {

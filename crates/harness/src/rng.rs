@@ -9,6 +9,15 @@
 
 use std::ops::{Range, RangeInclusive};
 
+/// The SplitMix64 output finalizer: mixes one 64-bit value into a
+/// well-distributed one. [`Rng`] applies it to its counter,
+/// [`worker_seed`](crate::campaign::worker_seed) to a seed/stream pair.
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// SplitMix64 generator (Steele, Lea & Flood; the `java.util.SplittableRandom`
 /// mixer). Streams are reproducible per seed.
 #[derive(Clone, Debug)]
@@ -25,10 +34,7 @@ impl Rng {
     /// Next raw 64-bit output.
     pub fn gen_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        splitmix64(self.state)
     }
 
     /// Uniform sample from `[0, 1)`.

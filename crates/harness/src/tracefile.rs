@@ -59,8 +59,8 @@ pub const MAGIC: &[u8; 8] = b"PKVMTRCE";
 ///
 /// v3 added the TLB instrumentation (events `Tlbi`/`Dsb`/`PteDowngrade`,
 /// tags 15–17), the `BreakBeforeMake` violation (tag 9), the `StaleTlb`
-/// chaos kind (byte 6) with its `p_stale_tlb` intensity, and the
-/// `check_break_before_make` oracle switch.
+/// chaos kind (byte 6) with its `p_stale_tlb` intensity, and a
+/// break-before-make oracle switch (header boolean).
 ///
 /// v4 replaced the up-front event count with a sentinel-terminated
 /// stream (marker byte `1` before each record, terminator byte `0`
@@ -70,9 +70,13 @@ pub const MAGIC: &[u8; 8] = b"PKVMTRCE";
 /// v5 added the Android workload surface: events
 /// `Transfer`/`FirmwareDonate`/`HostRegain` (tags 18–20), violations
 /// `FirmwareProtection`/`TransferProtocol`/`ReclaimWipe` (tags 10–12),
-/// and the `check_firmware_protection`/`check_transfer_protocol` oracle
-/// switches.
-pub const FORMAT_VERSION: u64 = 5;
+/// and firmware-protection and transfer-protocol oracle switches (header
+/// booleans).
+///
+/// v6 dropped the three spec-check switches of v3 and v5 (the BBM,
+/// firmware and transfer checks always run), so the oracle section of
+/// the header is three booleans shorter.
+pub const FORMAT_VERSION: u64 = 6;
 
 /// Why a trace file failed to load. Loading *never* panics: a truncated
 /// or bit-rotted file is an expected input, not a bug.
@@ -614,9 +618,6 @@ fn write_header(w: &mut Wr, header: &TraceHeader) {
     w.u64(header.oracle_opts.trap_check_budget);
     w.u64(header.oracle_opts.quarantine_threshold as u64);
     w.u64(header.oracle_opts.quarantine_traps);
-    w.boolean(header.oracle_opts.check_break_before_make);
-    w.boolean(header.oracle_opts.check_firmware_protection);
-    w.boolean(header.oracle_opts.check_transfer_protocol);
     // Faults and chaos.
     w.u64(header.fault_bits as u64);
     match &header.chaos {
@@ -1066,9 +1067,6 @@ impl<'a> Rd<'a> {
             .trap_check_budget(self.u64()?)
             .quarantine_threshold(self.u32()?)
             .quarantine_traps(self.u64()?)
-            .check_break_before_make(self.boolean()?)
-            .check_firmware_protection(self.boolean()?)
-            .check_transfer_protocol(self.boolean()?)
             .build();
         let fault_bits = self.u32()?;
         let chaos = match self.byte()? {
@@ -1542,9 +1540,9 @@ mod tests {
 
     #[test]
     fn android_surface_events_round_trip() {
-        // The v5 additions in one trace: every transfer edge, a firmware
-        // donation, a host regain, the three Android-surface violations,
-        // and both new header knobs at their non-default (off) value.
+        // The Android-surface records in one trace: every transfer edge, a
+        // firmware donation, a host regain, and the three Android-surface
+        // violations, under non-default oracle switches.
         let mut events: Vec<EventRecord> = Vec::new();
         let push = |events: &mut Vec<EventRecord>, event: Event| {
             let seq = events.len() as u64;
@@ -1614,8 +1612,8 @@ mod tests {
         let trace = CampaignTrace {
             config: MachineConfig::default(),
             oracle_opts: OracleOpts::builder()
-                .check_firmware_protection(false)
-                .check_transfer_protocol(false)
+                .incremental_abstraction(true)
+                .trap_check_budget(77)
                 .build(),
             fault_bits: 0,
             chaos: None,
@@ -1624,8 +1622,7 @@ mod tests {
         };
         let bytes = encode_trace(&trace);
         let decoded = decode_trace(&bytes).expect("round trip");
-        assert!(!decoded.oracle_opts.check_firmware_protection);
-        assert!(!decoded.oracle_opts.check_transfer_protocol);
+        assert_eq!(decoded.oracle_opts, trace.oracle_opts);
         assert_eq!(decoded.events.len(), trace.events.len());
         assert_eq!(
             format!("{:?}", decoded.events),

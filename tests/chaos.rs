@@ -37,7 +37,7 @@ fn thirty_two_seeds_of_clean_campaign_stay_clean_and_undegraded() {
             report.render(),
             report.violations
         );
-        let r = report.resilience;
+        let r = report.oracle_stats;
         assert_eq!(r.contained_panics, 0, "seed {seed}: contained panics");
         assert_eq!(r.quarantined_skips, 0, "seed {seed}: quarantine fired");
         assert_eq!(r.violations_dropped, 0, "seed {seed}: violations dropped");
@@ -194,7 +194,7 @@ fn tiny_trap_budget_degrades_gracefully_not_wrongly() {
         report.render(),
         report.violations
     );
-    let r = report.resilience;
+    let r = report.oracle_stats;
     assert!(
         r.budget_degraded_events > 0 || r.degraded_traps > 0,
         "budget of 1 event per trap never degraded anything: {r:?}"

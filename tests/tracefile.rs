@@ -445,3 +445,71 @@ fn compaction_refuses_replay_critical_and_unknown_families() {
     assert!(!dst.exists());
     let _ = std::fs::remove_file(&src);
 }
+
+/// Appends `v` as an LEB128 varint, the codec's integer encoding.
+fn varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// The version gate: a file in the previous format is refused with a
+/// typed error, never misparsed. The v5 layout is rebuilt from a real
+/// recording by stamping the old version and re-inserting the three
+/// spec-check booleans that followed the oracle section. Read as the
+/// current format, those bytes would land in the fault and chaos fields.
+#[test]
+fn previous_format_version_is_refused_not_misparsed() {
+    let trace = record_campaign(0x0005_f0a7, false, None);
+    let current = encode_trace(&trace);
+
+    // Everything up to the end of the header's oracle section.
+    let mut head = MAGIC.to_vec();
+    varint(&mut head, FORMAT_VERSION);
+    let c = &trace.config;
+    varint(&mut head, c.nr_cpus as u64);
+    for regions in [&c.dram, &c.mmio] {
+        varint(&mut head, regions.len() as u64);
+        for &(base, size) in regions.iter() {
+            varint(&mut head, base);
+            varint(&mut head, size);
+        }
+    }
+    varint(&mut head, c.hyp_pool_pages);
+    let o = &trace.oracle_opts;
+    for b in [
+        o.check_noninterference,
+        o.check_separation,
+        o.incremental_abstraction,
+        o.shadow_validation,
+    ] {
+        head.push(b as u8);
+    }
+    varint(&mut head, o.violation_cap as u64);
+    varint(&mut head, o.trap_check_budget);
+    varint(&mut head, o.quarantine_threshold as u64);
+    varint(&mut head, o.quarantine_traps);
+    assert_eq!(current[..head.len()], head[..], "header layout model");
+
+    let mut v5 = current.clone();
+    v5[MAGIC.len()] = (FORMAT_VERSION - 1) as u8;
+    v5.splice(head.len()..head.len(), [1u8, 1, 1]);
+    let refused = |r: Result<_, TraceFileError>| matches!(r, Err(TraceFileError::BadVersion(v)) if v == FORMAT_VERSION - 1);
+    assert!(refused(decode_trace(&v5).map(drop)));
+    assert!(refused(TraceReader::from_bytes(&v5).map(drop)));
+    let path = temp_path("v5");
+    std::fs::write(&path, &v5).expect("write v5 file");
+    assert!(refused(load_trace(&path).map(drop)));
+    assert!(refused(TraceReader::open(&path).map(drop)));
+    let _ = std::fs::remove_file(&path);
+
+    // The gate is load-bearing: the same bytes stamped as the current
+    // version never decode to the recorded trace.
+    let mut relabelled = v5;
+    relabelled[MAGIC.len()] = FORMAT_VERSION as u8;
+    if let Ok(misread) = decode_trace(&relabelled) {
+        assert_ne!(misread, trace);
+    }
+}
