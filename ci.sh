@@ -29,6 +29,9 @@ cargo test --workspace -q
 echo "== clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== rustfmt =="
 cargo fmt --all -- --check
 

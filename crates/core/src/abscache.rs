@@ -1,10 +1,10 @@
 //! Incremental abstraction: caching page-table interpretations between
 //! lock events and re-interpreting only the descriptors that were written.
 //!
-//! Full interpretation ([`interpret_pgtable`]) walks the entire tree at
-//! every lock acquisition *and* release — the dominant per-event cost of
-//! the oracle (§4, Fig. 6 steps (2)–(5)) — even when the critical section
-//! wrote a handful of PTEs. This module keeps, per component, the last
+//! Full interpretation ([`crate::interpret_pgtable`]) walks the entire
+//! tree at every lock acquisition *and* release — the dominant per-event
+//! cost of the oracle (§4, Fig. 6 steps (2)–(5)) — even when the critical
+//! section wrote a handful of PTEs. This module keeps, per component, the last
 //! interpretation keyed by `(root, write-log generation)` plus the
 //! [`TableMeta`] locating every table node, and on the next event:
 //!
@@ -49,23 +49,13 @@ use std::collections::HashMap;
 use pkvm_aarch64::addr::{level_pages, PhysAddr, LEAF_LEVEL, PAGE_SIZE};
 use pkvm_aarch64::attrs::Stage;
 use pkvm_aarch64::memory::PhysMem;
+use pkvm_hyp::hooks::Component;
 
 use crate::abstraction::{
     interpret_descriptor, interpret_pgtable_with_meta, interpret_subtree, partition_host,
     table_span_pages, Anomaly, HostPartition, TableMeta,
 };
 use crate::state::{AbstractPgtable, GhostGlobals};
-
-/// Which component's interpretation a cache entry holds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum CacheKey {
-    /// pKVM's own stage 1.
-    Hyp,
-    /// The host's stage 2.
-    Host,
-    /// A guest VM's stage 2, by handle.
-    Vm(u32),
-}
 
 /// If more than one table in `4^-1` of the footprint is dirty, replaying
 /// stops paying; take the full walk.
@@ -168,7 +158,7 @@ enum Served {
 /// The per-oracle incremental abstraction cache.
 #[derive(Default)]
 pub struct AbsCache {
-    entries: HashMap<CacheKey, CacheEntry>,
+    entries: HashMap<Component, CacheEntry>,
     /// Resolution counters (exposed for benches, tests and reports).
     pub stats: CacheStats,
 }
@@ -181,7 +171,7 @@ impl AbsCache {
 
     /// Drops every cached interpretation (e.g. when a VM is torn down its
     /// entry must not survive handle reuse).
-    pub fn invalidate(&mut self, key: CacheKey) {
+    pub fn invalidate(&mut self, key: Component) {
         self.entries.remove(&key);
     }
 
@@ -190,7 +180,7 @@ impl AbsCache {
     /// (now dangling) interpretations resident.
     pub fn retain_vms(&mut self, live: impl Fn(u32) -> bool) {
         self.entries.retain(|k, _| match k {
-            CacheKey::Vm(h) => live(*h),
+            Component::Vm(h) => live(*h),
             _ => true,
         });
     }
@@ -205,14 +195,14 @@ impl AbsCache {
         mem: &PhysMem,
         stage: Stage,
         root: PhysAddr,
-        key: CacheKey,
+        key: Component,
         anomalies: &mut Vec<Anomaly>,
     ) -> AbstractPgtable {
         self.serve(mem, stage, root, key, anomalies).0
     }
 
     /// The host stage 2 rooted at `root`: its interpretation, as
-    /// [`Self::interp`] with [`CacheKey::Host`], and its partition, as
+    /// [`Self::interp`] with [`Component::Host`], and its partition, as
     /// [`partition_host`] over that interpretation would derive it.
     /// Appends anomalies exactly as interpretation followed by
     /// [`partition_host`] would.
@@ -223,8 +213,8 @@ impl AbsCache {
         globals: &GhostGlobals,
         anomalies: &mut Vec<Anomaly>,
     ) -> (AbstractPgtable, HostPartition) {
-        let (interp, served) = self.serve(mem, Stage::Stage2, root, CacheKey::Host, anomalies);
-        let entry = self.entries.get_mut(&CacheKey::Host);
+        let (interp, served) = self.serve(mem, Stage::Stage2, root, Component::Host, anomalies);
+        let entry = self.entries.get_mut(&Component::Host);
         if let Some(memo) = entry.and_then(|e| e.host.as_mut()) {
             match served {
                 Served::Clean => return (interp, memo.clone()),
@@ -253,7 +243,7 @@ impl AbsCache {
         // memoise only an anomaly-free result.
         let before = anomalies.len();
         let part = partition_host(interp.mapping.iter().copied(), globals, anomalies);
-        if let Some(e) = self.entries.get_mut(&CacheKey::Host) {
+        if let Some(e) = self.entries.get_mut(&Component::Host) {
             e.host = (anomalies.len() == before).then(|| part.clone());
         }
         (interp, part)
@@ -264,7 +254,7 @@ impl AbsCache {
         mem: &PhysMem,
         stage: Stage,
         root: PhysAddr,
-        key: CacheKey,
+        key: Component,
         anomalies: &mut Vec<Anomaly>,
     ) -> (AbstractPgtable, Served) {
         let log = mem.write_log();
@@ -311,7 +301,7 @@ impl AbsCache {
         (interp, Served::Full)
     }
 
-    fn plan(&self, mem: &PhysMem, stage: Stage, root: PhysAddr, key: CacheKey) -> Plan {
+    fn plan(&self, mem: &PhysMem, stage: Stage, root: PhysAddr, key: Component) -> Plan {
         let Some(e) = self.entries.get(&key) else {
             return Plan::Full(FullReason::Cold);
         };
@@ -356,7 +346,7 @@ impl AbsCache {
     fn replay(
         &mut self,
         mem: &PhysMem,
-        key: CacheKey,
+        key: Component,
         snap: u64,
         roots: &[Root],
     ) -> Option<(AbstractPgtable, Vec<(u64, u64)>)> {
@@ -431,7 +421,7 @@ impl AbsCache {
         mem: &PhysMem,
         stage: Stage,
         root: PhysAddr,
-        key: CacheKey,
+        key: Component,
         snap: u64,
         anomalies: &mut Vec<Anomaly>,
     ) -> AbstractPgtable {
@@ -535,7 +525,7 @@ mod tests {
 
     fn check_agrees(cache: &mut AbsCache, m: &PhysMem, root: PhysAddr) {
         let mut a1 = Vec::new();
-        let inc = cache.interp(m, Stage::Stage2, root, CacheKey::Host, &mut a1);
+        let inc = cache.interp(m, Stage::Stage2, root, Component::Host, &mut a1);
         let mut a2 = Vec::new();
         let full = interpret_pgtable(m, Stage::Stage2, root, &mut a2);
         assert_eq!(inc, full);
@@ -606,7 +596,7 @@ mod tests {
         check_agrees(&mut cache, &m, root);
         // The stale l3 must not have been replayed as a subtree.
         let mut a = Vec::new();
-        let now = cache.interp(&m, Stage::Stage2, root, CacheKey::Host, &mut a);
+        let now = cache.interp(&m, Stage::Stage2, root, Component::Host, &mut a);
         assert!(!now.table_pages.contains(&l3.pfn()));
     }
 
@@ -619,7 +609,7 @@ mod tests {
         let root2 = PhysAddr::new(0x4500_0000);
         m.write_pte(root2, 0, annotation_pte(OwnerId::HYP)).unwrap();
         let mut a = Vec::new();
-        cache.interp(&m, Stage::Stage2, root2, CacheKey::Host, &mut a);
+        cache.interp(&m, Stage::Stage2, root2, Component::Host, &mut a);
         assert_eq!(cache.stats.full_root_changed, 1);
         check_agrees(&mut cache, &m, root2);
     }
@@ -710,7 +700,7 @@ mod tests {
         assert_eq!(cache.stats.subtrees_replayed, 1);
         assert_eq!(cache.stats.descriptors_replayed, 1);
         let mut a = Vec::new();
-        let now = cache.interp(&m, Stage::Stage2, root, CacheKey::Host, &mut a);
+        let now = cache.interp(&m, Stage::Stage2, root, Component::Host, &mut a);
         assert!(now.table_pages.contains(&l3b.pfn()));
         assert!(!now.table_pages.contains(&l3.pfn()));
     }
@@ -778,7 +768,7 @@ mod tests {
         host_agrees(&mut cache, &m, root);
         assert_eq!(cache.stats.incremental, 1);
         assert_eq!(cache.stats.clean_hits, 1);
-        let memoised = |c: &AbsCache| c.entries[&CacheKey::Host].host.is_some();
+        let memoised = |c: &AbsCache| c.entries[&Component::Host].host.is_some();
         assert!(memoised(&cache));
         // The shared page above is no identity mapping, but shared pages
         // are not checked. An owned non-identity page is: its span's
@@ -801,7 +791,7 @@ mod tests {
         let root = build(&m);
         let mut cache = AbsCache::new();
         check_agrees(&mut cache, &m, root);
-        cache.invalidate(CacheKey::Host);
+        cache.invalidate(Component::Host);
         check_agrees(&mut cache, &m, root);
         assert_eq!(cache.stats.full_cold, 2);
     }

@@ -10,7 +10,7 @@ use pkvm_hyp::hooks::TransferEdge;
 
 use crate::abstraction::Anomaly;
 use crate::diff::diff_states;
-use crate::state::GhostState;
+use crate::state::{GhostKey, GhostState};
 
 /// One detected disagreement between implementation and specification (or
 /// a broken runtime invariant).
@@ -88,7 +88,7 @@ pub enum Violation {
         reason: String,
     },
     /// Oracle self-check: the oracle's own bookkeeping hit a state it
-    /// cannot interpret (e.g. a malformed internal component name). The
+    /// cannot interpret (e.g. a trap exit with no recorded call data). The
     /// run continues — one confused record must not poison a whole
     /// campaign — but the confusion itself is surfaced as a finding.
     OracleSelfCheck {
@@ -386,7 +386,7 @@ pub struct CheckOutcome {
     /// Components the spec defined but the handler never recorded (no lock
     /// cycle): their computed values seed the oracle's shared copy so the
     /// *next* acquisition validates them.
-    pub deferred: Vec<String>,
+    pub deferred: Vec<GhostKey>,
 }
 
 /// Normalises a ghost state for comparison: memory-management details —
@@ -396,7 +396,13 @@ pub struct CheckOutcome {
 /// recorded states (the separation check and the teardown spec *read*
 /// them); they just do not participate in equality.
 pub fn normalize(state: &GhostState) -> GhostState {
-    let mut s = state.clone();
+    normalized(state.clone())
+}
+
+/// [`normalize`] on an owned state, in place. Normalisation is per part,
+/// so normalising one [`GhostState::part`] equals the same part of the
+/// normalised whole.
+pub(crate) fn normalized(mut s: GhostState) -> GhostState {
     if let Some(h) = s.host.as_mut() {
         h.table_pages.clear();
     }
@@ -419,109 +425,37 @@ pub fn normalize(state: &GhostState) -> GhostState {
     s
 }
 
-// Extracts the index out of a bracketed component name like "vm[3]" or
-// "locals[0]". `None` on malformed names: component names are generated
-// internally, but under chaos injection the check path must stay total, so
-// a name it cannot parse degrades to "not present" instead of panicking.
-fn bracket_index<T: std::str::FromStr>(name: &str, prefix: &str) -> Option<T> {
-    name.strip_prefix(prefix)?.strip_suffix(']')?.parse().ok()
-}
-
-// The component comparison is done on projected single-component states so
-// the diff renderer can be reused untouched.
-fn project(state: &GhostState, component: &str) -> GhostState {
-    let state = &normalize(state);
-    let mut s = GhostState::default();
-    match component {
-        "host" => s.host = state.host.clone(),
-        "pkvm" => s.pkvm = state.pkvm.clone(),
-        "vm_table" => s.vm_table = state.vm_table.clone(),
-        c if c.starts_with("vm[") => {
-            if let Some(h) = bracket_index::<u32>(c, "vm[") {
-                if let Some(vm) = state.vms.get(&h) {
-                    s.vms.insert(h, vm.clone());
-                }
-            }
-        }
-        c if c.starts_with("locals[") => {
-            if let Some(cpu) = bracket_index::<usize>(c, "locals[") {
-                if let Some(l) = state.locals.get(&cpu) {
-                    s.locals.insert(cpu, l.clone());
-                }
-            }
-        }
-        // An unknown name projects to the empty state: both sides of the
-        // comparison see the same nothing, so it can never fabricate a
-        // violation — and never panics mid-campaign.
-        _ => {}
-    }
-    s
-}
-
-fn component_present(state: &GhostState, component: &str) -> bool {
-    match component {
-        "host" => state.host.is_some(),
-        "pkvm" => state.pkvm.is_some(),
-        "vm_table" => state.vm_table.is_some(),
-        c if c.starts_with("vm[") => {
-            bracket_index::<u32>(c, "vm[").is_some_and(|h| state.vms.contains_key(&h))
-        }
-        c if c.starts_with("locals[") => {
-            bracket_index::<usize>(c, "locals[").is_some_and(|cpu| state.locals.contains_key(&cpu))
-        }
-        _ => false,
-    }
-}
-
-fn all_components(states: [&GhostState; 3]) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
-    let mut push = |c: String| {
-        if !out.contains(&c) {
-            out.push(c);
-        }
-    };
-    for s in states {
-        if s.host.is_some() {
-            push("host".into());
-        }
-        if s.pkvm.is_some() {
-            push("pkvm".into());
-        }
-        if s.vm_table.is_some() {
-            push("vm_table".into());
-        }
-        for h in s.vms.keys() {
-            push(format!("vm[{h}]"));
-        }
-        for c in s.locals.keys() {
-            push(format!("locals[{c}]"));
-        }
-    }
-    out
-}
-
 /// The ternary check for one trap: `pre` and `recorded` come from the
 /// recording machinery, `computed` from the specification function.
+/// Components are visited in first-seen order across `[pre, recorded,
+/// computed]`, each compared on its own normalised part so the diff
+/// renderer can be reused untouched.
 pub fn check_trap(
     trap: &str,
     pre: &GhostState,
     recorded: &GhostState,
     computed: &GhostState,
 ) -> CheckOutcome {
+    let mut keys: Vec<GhostKey> = Vec::new();
+    for key in [pre, recorded, computed]
+        .into_iter()
+        .flat_map(GhostState::keys)
+    {
+        if !keys.contains(&key) {
+            keys.push(key);
+        }
+    }
     let mut out = CheckOutcome::default();
-    for comp in all_components([pre, recorded, computed]) {
-        let in_computed = component_present(computed, &comp);
-        let in_recorded = component_present(recorded, &comp);
-        let in_pre = component_present(pre, &comp);
-        match (in_computed, in_recorded) {
+    for key in keys {
+        match (computed.contains(key), recorded.contains(key)) {
             (true, true) => {
-                let c = project(computed, &comp);
-                let r = project(recorded, &comp);
+                let c = normalized(computed.part(key));
+                let r = normalized(recorded.part(key));
                 if c != r {
                     out.violations.push(Violation::SpecMismatch {
                         seq: None,
                         trap: trap.into(),
-                        component: comp.clone(),
+                        component: key.to_string(),
                         uniq: None,
                         diff: diff_states(&c, &r),
                     });
@@ -531,18 +465,18 @@ pub fn check_trap(
                 // The spec defined a component the handler never recorded
                 // (e.g. the initial state of a freshly created VM): defer
                 // it to the next acquisition's non-interference check.
-                out.deferred.push(comp.clone());
+                out.deferred.push(key);
             }
             (false, true) => {
                 // The spec left it alone: it must not have changed.
-                if in_pre {
-                    let p = project(pre, &comp);
-                    let r = project(recorded, &comp);
+                if pre.contains(key) {
+                    let p = normalized(pre.part(key));
+                    let r = normalized(recorded.part(key));
                     if p != r {
                         out.violations.push(Violation::UnexpectedChange {
                             seq: None,
                             trap: trap.into(),
-                            component: comp.clone(),
+                            component: key.to_string(),
                             uniq: None,
                             diff: diff_states(&p, &r),
                         });
@@ -565,8 +499,9 @@ pub fn check_trap(
 mod tests {
     use super::*;
     use crate::maplet::{AbsAttrs, Maplet, MapletTarget};
-    use crate::state::{GhostGlobals, GhostHost};
+    use crate::state::{GhostGlobals, GhostHost, GhostVm};
     use pkvm_aarch64::attrs::{MemType, Perms};
+    use pkvm_hyp::hooks::Component;
     use pkvm_hyp::owner::PageState;
 
     fn host_state(shared_pages: &[u64]) -> GhostState {
@@ -640,7 +575,7 @@ mod tests {
         let computed = host_state(&[0x4000_0000]);
         let o = check_trap("init", &pre, &recorded, &computed);
         assert!(o.violations.is_empty());
-        assert_eq!(o.deferred, vec!["host".to_string()]);
+        assert_eq!(o.deferred, vec![GhostKey::Comp(Component::Host)]);
     }
 
     #[test]
@@ -690,15 +625,6 @@ mod tests {
     }
 
     #[test]
-    fn malformed_component_names_do_not_panic_the_check() {
-        let s = GhostState::blank(&GhostGlobals::default());
-        for name in ["vm[bogus]", "vm[", "locals[x]", "wat"] {
-            assert!(!component_present(&s, name), "{name}");
-            assert_eq!(project(&s, name), GhostState::default(), "{name}");
-        }
-    }
-
-    #[test]
     fn locals_mismatch_detected() {
         let mut pre = GhostState::blank(&GhostGlobals::default());
         pre.write_gpr(0, 1, 7);
@@ -711,5 +637,75 @@ mod tests {
         assert!(
             matches!(&o.violations[0], Violation::SpecMismatch { component, .. } if component == "locals[0]")
         );
+    }
+
+    fn vm(handle: u32, slot: usize) -> GhostVm {
+        GhostVm {
+            handle,
+            slot,
+            protected: false,
+            pgt: Default::default(),
+            donated: Vec::new(),
+            firmware: Vec::new(),
+            vcpus: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn components_are_checked_in_first_seen_order() {
+        let mut pre = host_state(&[]);
+        pre.vms.insert(9, vm(9, 0));
+        pre.write_gpr(1, 1, 1);
+        let mut recorded = host_state(&[0x4000_0000]);
+        recorded.pkvm = Some(Default::default());
+        recorded.vms.insert(9, vm(9, 1));
+        recorded.vms.insert(2, vm(2, 0));
+        recorded.write_gpr(0, 1, 5);
+        recorded.write_gpr(1, 1, 2);
+        let mut computed = host_state(&[0x4000_1000]);
+        computed.vm_table = Some(Vec::new());
+        computed.vms.insert(2, vm(2, 3));
+        computed.vms.insert(4, vm(4, 1));
+        computed.write_gpr(0, 1, 5);
+        computed.write_gpr(1, 1, 3);
+        let o = check_trap("t", &pre, &recorded, &computed);
+        let found: Vec<(&str, &str)> = o
+            .violations
+            .iter()
+            .map(|v| (v.kind(), v.component().unwrap()))
+            .collect();
+        assert_eq!(
+            found,
+            [
+                ("spec-mismatch", "host"),
+                ("unexpected-change", "vm[9]"),
+                ("spec-mismatch", "locals[1]"),
+                ("spec-mismatch", "vm[2]"),
+            ]
+        );
+        assert_eq!(
+            o.deferred,
+            [
+                GhostKey::Comp(Component::VmTable),
+                GhostKey::Comp(Component::Vm(4))
+            ]
+        );
+    }
+
+    #[test]
+    fn component_names_round_trip() {
+        for (key, name) in [
+            (GhostKey::Comp(Component::Host), "host"),
+            (GhostKey::Comp(Component::Hyp), "pkvm"),
+            (GhostKey::Comp(Component::VmTable), "vm_table"),
+            (GhostKey::Comp(Component::Vm(4097)), "vm[4097]"),
+            (GhostKey::Locals(3), "locals[3]"),
+        ] {
+            assert_eq!(key.to_string(), name);
+            assert_eq!(GhostKey::parse(name), Some(key), "{name}");
+        }
+        for name in ["vm[bogus]", "vm[", "locals[x]", "Host", "wat"] {
+            assert_eq!(GhostKey::parse(name), None, "{name}");
+        }
     }
 }

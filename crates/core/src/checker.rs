@@ -5,7 +5,7 @@
 //! callbacks: it emits the hook's event into the stream, computes the
 //! component abstraction **while the component's lock is held** (the one
 //! thing that cannot be deferred — the paper's recording discipline), and
-//! packages both into a [`CheckMsg`]. The *back half* applies the message:
+//! packages both into a `CheckMsg`. The *back half* applies the message:
 //! it maintains the shared ghost copy and the per-trap pre/post records,
 //! runs the non-interference and separation checks, and at trap exit
 //! computes the spec and compares (`Oracle::apply_msg`).
@@ -37,6 +37,7 @@ use pkvm_hyp::hooks::Component;
 
 use crate::calldata::GhostCallData;
 use crate::check::Violation;
+use crate::event::Event;
 use crate::oracle::{ComponentValue, Oracle, TrapRecord};
 use crate::state::GhostCpu;
 
@@ -150,65 +151,14 @@ pub(crate) enum CheckMsg {
         tag: &'static str,
         value: u64,
     },
-    /// Separation-footprint tracking.
-    TablePageAlloc {
-        cpu: usize,
-        trap: Option<u64>,
-        comp: Component,
-        pfn: u64,
-    },
-    /// Separation-footprint tracking.
-    TablePageFree { comp: Component, pfn: u64 },
-    /// A live mapping was unmapped or tightened (the "break" of
-    /// break-before-make). `seq` is the downgrade event's stream seq —
-    /// the anchor a later [`Violation::BreakBeforeMake`] carries.
-    PteDowngrade {
-        cpu: usize,
-        seq: u64,
-        vmid: u16,
-        ia: u64,
-        nr: u64,
-    },
-    /// A TLB invalidation was issued; clears matching pending breaks
-    /// (broadcast only — a local TLBI cannot retire a break other CPUs
-    /// may still hold stale).
-    Tlbi {
-        cpu: usize,
-        vmid: u16,
-        ia: u64,
-        nr: u64,
-        broadcast: bool,
-    },
-    /// A barrier completing outstanding TLBIs on this CPU.
-    Dsb { cpu: usize },
-    /// A page range crossed an ownership-transfer edge; `seq` is the
-    /// transfer event's stream seq (the anchor a protocol violation
-    /// carries).
-    Transfer {
+    /// A protocol hook's event (table-page footprint, break-before-make,
+    /// transfer, firmware) exactly as the front half emitted it. `seq` is
+    /// its stream seq: the anchor a protocol violation carries.
+    Observed {
         cpu: usize,
         trap: Option<u64>,
         seq: u64,
-        edge: pkvm_hyp::hooks::TransferEdge,
-        pfn: u64,
-        nr: u64,
-        dirty: bool,
-    },
-    /// A firmware region was donated (`vm_load_firmware` succeeded).
-    FirmwareDonate {
-        handle: u32,
-        uniq: u64,
-        pfn: u64,
-        nr: u64,
-    },
-    /// The host's stage 2 regained a page range; `seq` is the regain
-    /// event's stream seq (the anchor a firmware-protection violation
-    /// carries).
-    HostRegain {
-        cpu: usize,
-        trap: Option<u64>,
-        seq: u64,
-        pfn: u64,
-        nr: u64,
+        event: Event,
     },
     /// Violations produced on the mutator side (hypervisor panics,
     /// contained front-half panics). Routed through the pipeline so every

@@ -57,6 +57,16 @@ pub const TRACE_CAP: usize = 256;
 /// produce identically.
 pub const DERIVED_SEQ_BASE: u64 = 1 << 48;
 
+/// Renders a stream seq for a human-readable table: a primary seq as its
+/// number, a derived one as `d+<n>`, its offset from [`DERIVED_SEQ_BASE`]
+/// (the n-th check or violation record in checker order).
+pub fn seq_label(seq: u64) -> String {
+    match seq.checked_sub(DERIVED_SEQ_BASE) {
+        Some(n) => format!("d+{n}"),
+        None => seq.to_string(),
+    }
+}
+
 /// Which chaos family injected a perturbation (the core-side mirror of the
 /// harness's chaos families, so chaos injections appear in the same
 /// timeline as the events they perturb).
@@ -1103,6 +1113,8 @@ mod tests {
         assert_eq!(vs[0].event_seq(), Some(DERIVED_SEQ_BASE));
         assert_eq!(vs[1].event_seq(), Some(DERIVED_SEQ_BASE + 1));
         assert_eq!(s.violation_count(), 2);
+        assert_eq!(seq_label(DERIVED_SEQ_BASE + 1), "d+1");
+        assert_eq!(seq_label(1021), "1021");
         // Retention off: nothing but the indexes is kept, yet sequence
         // numbers advanced for every emit — and derived records never
         // consumed a primary sequence number.

@@ -57,7 +57,7 @@ pub mod print;
 pub mod spec;
 pub mod state;
 
-pub use abscache::{AbsCache, CacheKey, CacheStats};
+pub use abscache::{AbsCache, CacheStats};
 pub use abstraction::{
     abstract_host, abstract_hyp, abstract_vm, abstract_vm_with_pgt, interpret_pgtable,
     interpret_pgtable_with_meta, interpret_subtree, Anomaly, TableMeta,
@@ -68,8 +68,9 @@ pub use checker::{CheckMode, Checker, StatsSnapshot, Verdict};
 pub use containment::{contain, Disposition, Quarantine};
 pub use diff::diff_states;
 pub use event::{
-    canonical_signature, fnv1a, novelty_signature, ChaosKind, Event, EventCursor, EventRecord,
-    EventSink, EventStream, ShapeHasher, TraceStats, DERIVED_SEQ_BASE, FNV_OFFSET, TRACE_CAP,
+    canonical_signature, fnv1a, novelty_signature, seq_label, ChaosKind, Event, EventCursor,
+    EventRecord, EventSink, EventStream, ShapeHasher, TraceStats, DERIVED_SEQ_BASE, FNV_OFFSET,
+    TRACE_CAP,
 };
 pub use maplet::{AbsAttrs, Maplet, MapletTarget};
 pub use mapping::Mapping;
@@ -77,6 +78,6 @@ pub use oracle::{Oracle, OracleOpts, TrapOutcome, TrapRecord};
 pub use print::render_state;
 pub use spec::{compute_post, SpecVerdict};
 pub use state::{
-    AbstractPgtable, GhostCpu, GhostGlobals, GhostHost, GhostLoadedVcpu, GhostPkvm, GhostState,
-    GhostVcpu, GhostVm,
+    AbstractPgtable, GhostCpu, GhostGlobals, GhostHost, GhostKey, GhostLoadedVcpu, GhostPkvm,
+    GhostState, GhostVcpu, GhostVm,
 };

@@ -14,12 +14,13 @@
 //! nothing changed while the lock was free (non-interference), and the
 //! per-component page-table footprints (separation).
 //!
-//! Since the [`Checker`](crate::checker::Checker) redesign the hooks are
-//! split into a *front half* that runs on the hypervisor thread (event
-//! emission, lock-held abstraction, degradation gating) and a *back half*
-//! ([`Oracle::apply_msg`]) that maintains the shared copy and runs the
-//! checks. [`CheckMode`] selects whether the back half runs inline in the
-//! hook or on a pipelined checker thread.
+//! Since the [`Checker`] redesign the hooks are split into a *front
+//! half* that runs on the hypervisor thread (event emission, lock-held
+//! abstraction, degradation gating) and a *back half*
+//! (`Oracle::apply_msg`) that maintains the shared copy and runs the
+//! checks. A protocol hook's back half receives the very event its front
+//! half emitted. [`CheckMode`] selects whether the back half runs inline
+//! in the hook or on a pipelined checker thread.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,13 +38,13 @@ use pkvm_hyp::mm::compute_layout;
 use pkvm_hyp::owner::PageState;
 use pkvm_hyp::vm::Handle;
 
-use crate::abscache::{AbsCache, CacheKey, CacheStats};
+use crate::abscache::{AbsCache, CacheStats};
 use crate::abstraction::{
     abstract_host, abstract_hyp, abstract_vm, abstract_vm_with_pgt, interpret_pgtable,
     partition_host, Anomaly, HostPartition,
 };
 use crate::calldata::GhostCallData;
-use crate::check::{check_trap, normalize, Violation};
+use crate::check::{check_trap, normalize, normalized, Violation};
 use crate::checker::{
     checker_loop, CheckMode, CheckMsg, Checker, Pipeline, StatsSnapshot, Verdict,
 };
@@ -53,7 +54,8 @@ use crate::event::{Event, EventSink, EventStream};
 use crate::maplet::{Maplet, MapletTarget};
 use crate::spec::{abs_hyp_attrs, compute_post, SpecVerdict};
 use crate::state::{
-    AbstractPgtable, GhostCpu, GhostGlobals, GhostHost, GhostLoadedVcpu, GhostPkvm, GhostState,
+    AbstractPgtable, GhostCpu, GhostGlobals, GhostHost, GhostKey, GhostLoadedVcpu, GhostPkvm,
+    GhostState,
 };
 
 /// Oracle configuration switches.
@@ -231,71 +233,12 @@ struct Counters {
     budget_degraded_events: AtomicU64,
 }
 
-/// Key of one shared-copy component (the update-stamp granularity).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum CompKey {
-    Host,
-    Pkvm,
-    VmTable,
-    Vm(Handle),
-}
-
-/// The spec's component naming for a lock-protected [`Component`]: the
-/// same strings `check_trap` produces (`host`, `pkvm`, `vm_table`,
-/// `vm[<handle>]`), so every report — and every quarantine key — greps
-/// the same way.
-fn comp_name(comp: Component) -> String {
-    match comp {
-        Component::Host => "host".into(),
-        Component::Hyp => "pkvm".into(),
-        Component::VmTable => "vm_table".into(),
-        Component::Vm(h) => format!("vm[{h}]"),
-    }
-}
-
-/// The shared-copy key of a lock-protected [`Component`].
-fn comp_key_of(comp: Component) -> CompKey {
-    match comp {
-        Component::Host => CompKey::Host,
-        Component::Hyp => CompKey::Pkvm,
-        Component::VmTable => CompKey::VmTable,
-        Component::Vm(h) => CompKey::Vm(h),
-    }
-}
-
-/// Parses the spec's component naming (`host`, `pkvm`, `vm_table`,
-/// `vm[<handle>]`) into a shared-copy key. `locals[..]` and malformed
-/// names yield `None`.
-fn comp_key_of_name(name: &str) -> Option<CompKey> {
-    match name {
-        "host" => Some(CompKey::Host),
-        "pkvm" => Some(CompKey::Pkvm),
-        "vm_table" => Some(CompKey::VmTable),
-        c => c
-            .strip_prefix("vm[")
-            .and_then(|rest| rest.strip_suffix(']'))
-            .and_then(|h| h.parse::<Handle>().ok())
-            .map(CompKey::Vm),
-    }
-}
-
-impl ComponentValue {
-    fn key(&self) -> CompKey {
-        match self {
-            ComponentValue::Host(_) => CompKey::Host,
-            ComponentValue::Pkvm(_) => CompKey::Pkvm,
-            ComponentValue::VmTable(..) => CompKey::VmTable,
-            ComponentValue::Vm(h, ..) => CompKey::Vm(*h),
-        }
-    }
-}
-
 /// The single shared copy of the ghost state (§4.4 invariant 1), plus a
 /// monotonic update stamp per component so concurrent traps can tell
 /// whether a component moved underneath them while they ran.
 struct SharedGhost {
     state: GhostState,
-    versions: HashMap<CompKey, u64>,
+    versions: HashMap<Component, u64>,
     tick: u64,
     /// Incarnation id ([`pkvm_hyp::vm::Vm::uniq`]) of the VM whose state
     /// `state.vms[handle]` currently holds. Handles are slot-derived and
@@ -315,7 +258,7 @@ impl SharedGhost {
     /// tail of teardown) is dropped rather than resurrecting the dead
     /// VM's state. Recording the VM table prunes the state of every VM
     /// that left it.
-    fn set(&mut self, value: &ComponentValue) {
+    fn set(&mut self, comp: Component, value: &ComponentValue) {
         match value {
             ComponentValue::VmTable(vms, uniqs) => {
                 let dead: Vec<Handle> = self
@@ -327,7 +270,7 @@ impl SharedGhost {
                     .collect();
                 for h in dead {
                     self.state.vms.remove(&h);
-                    self.stamp(CompKey::Vm(h));
+                    self.stamp(Component::Vm(h));
                 }
                 self.vm_uniq
                     .retain(|h, _| vms.iter().any(|&(live, _)| live == *h));
@@ -336,7 +279,7 @@ impl SharedGhost {
                         if old != uniq && self.state.vms.remove(&h).is_some() {
                             // The stored state belonged to a previous
                             // incarnation of this handle; not comparable.
-                            self.stamp(CompKey::Vm(h));
+                            self.stamp(Component::Vm(h));
                         }
                     }
                 }
@@ -363,16 +306,15 @@ impl SharedGhost {
             }
             _ => {}
         }
-        self.tick += 1;
-        self.versions.insert(value.key(), self.tick);
-        Oracle::set_component(&mut self.state, value, false);
+        self.stamp(comp);
+        Oracle::set_component(&mut self.state, comp, value, false);
     }
 
-    /// Bumps the stamp of `key` without going through a component value
+    /// Bumps the stamp of `comp` without going through a component value
     /// (deferred seeding writes the spec-computed state directly).
-    fn stamp(&mut self, key: CompKey) {
+    fn stamp(&mut self, comp: Component) {
         self.tick += 1;
-        self.versions.insert(key, self.tick);
+        self.versions.insert(comp, self.tick);
     }
 }
 
@@ -409,18 +351,18 @@ struct CpuRecord {
     /// trap's legitimate update would be overwritten with a stale
     /// expectation, and the next acquisition would report a spurious
     /// non-interference violation).
-    versions_at_entry: HashMap<CompKey, u64>,
+    versions_at_entry: HashMap<Component, u64>,
     /// Shared-copy stamp left by this trap's most recent release of each
     /// component, so a re-acquisition can tell whether a *foreign* trap
     /// updated the component between two of this trap's own critical
     /// sections.
-    last_release: HashMap<CompKey, u64>,
+    last_release: HashMap<Component, u64>,
     /// Components a foreign trap updated between two of this trap's
     /// critical sections. The per-trap check pretends the handler ran
     /// atomically; for these components it did not, so their comparison
     /// is skipped (the ternary check's "unchecked" answer) instead of
     /// reporting a spurious mismatch.
-    interleaved: HashSet<CompKey>,
+    interleaved: HashSet<Component>,
     /// Event-stream sequence id of this trap's `TrapEnter`, so every
     /// event and violation produced inside the trap links back to it.
     trap_seq: Option<u64>,
@@ -842,7 +784,7 @@ impl Oracle {
             CheckMsg::TrapEnter { .. } => "trap_enter".to_string(),
             CheckMsg::TrapExit { .. } => "trap_exit".to_string(),
             CheckMsg::LockAcquired { comp, .. } | CheckMsg::LockReleasing { comp, .. } => {
-                comp_name(*comp)
+                GhostKey::Comp(*comp).to_string()
             }
             CheckMsg::ReadOnce { .. } => "read_once".to_string(),
             _ => "checker".to_string(),
@@ -946,19 +888,19 @@ impl Oracle {
     /// component, from the shared copy's incarnation table. (Reports that
     /// already know their incarnation keep it.)
     fn annotate_vm_uniq(&self, vs: &mut [Violation]) {
-        let wants = |v: &Violation| {
-            v.vm_uniq().is_none()
-                && matches!(
-                    v.component().and_then(comp_key_of_name),
-                    Some(CompKey::Vm(_))
-                )
+        let vm_of = |v: &Violation| match v.component().and_then(GhostKey::parse) {
+            Some(GhostKey::Comp(Component::Vm(h))) => Some(h),
+            _ => None,
         };
-        if !vs.iter().any(wants) {
+        if !vs
+            .iter()
+            .any(|v| v.vm_uniq().is_none() && vm_of(v).is_some())
+        {
             return;
         }
         let guard = self.shared.lock();
         for v in vs.iter_mut() {
-            if let Some(CompKey::Vm(h)) = v.component().and_then(comp_key_of_name) {
+            if let Some(h) = vm_of(v) {
                 if let Some(&u) = guard.vm_uniq.get(&h) {
                     v.set_vm_uniq(u);
                 }
@@ -1004,23 +946,33 @@ impl Oracle {
         }
     }
 
+    /// The front half of every protocol hook: emits `event` under the
+    /// running trap and forwards it, with its stream seq, to the back half
+    /// ([`CheckMsg::Observed`]). Contained under `key` like every other
+    /// front-half step.
+    fn observe(&self, ctx: &HookCtx<'_>, key: &str, event: Event) {
+        self.guarded(key, || {
+            let cpu = ctx.cpu;
+            let trap = self.current_trap(cpu);
+            let seq = self.events.emit(cpu as u32, trap, event.clone());
+            self.dispatch(CheckMsg::Observed {
+                cpu,
+                trap,
+                seq,
+                event,
+            });
+        });
+    }
+
     /// Degrades one lock event: instead of abstracting the component, its
     /// entry is evicted from the shared copy (and stamped), so nothing
     /// stale is ever compared later. Used when the component is
     /// quarantined or the per-trap budget ran out — the cheap-but-safe
     /// fallback.
     fn evict_shared(&self, comp: Component) {
-        let key = comp_key_of(comp);
         let mut shared = self.shared.lock();
-        match key {
-            CompKey::Host => shared.state.host = None,
-            CompKey::Pkvm => shared.state.pkvm = None,
-            CompKey::VmTable => shared.state.vm_table = None,
-            CompKey::Vm(h) => {
-                shared.state.vms.remove(&h);
-            }
-        }
-        shared.stamp(key);
+        shared.state.remove(GhostKey::Comp(comp));
+        shared.stamp(comp);
     }
 
     /// Accounts one lock event against the per-trap check budget. `true`
@@ -1114,7 +1066,7 @@ impl Oracle {
                     ctx,
                     Stage::Stage1,
                     *root,
-                    CacheKey::Hyp,
+                    Component::Hyp,
                     &mut anomalies,
                     &mut reports,
                 );
@@ -1143,7 +1095,7 @@ impl Oracle {
                     ctx,
                     Stage::Stage2,
                     view.s2_root,
-                    CacheKey::Vm(view.handle),
+                    Component::Vm(view.handle),
                     &mut anomalies,
                     &mut reports,
                 );
@@ -1197,7 +1149,7 @@ impl Oracle {
         if inc != full || inc_part != full_part || inc_anomalies != anomalies[before..] {
             reports.push(Violation::ShadowDivergence {
                 seq: None,
-                component: format!("{:?}", CacheKey::Host),
+                component: format!("{:?}", Component::Host),
                 diff: pgtable_divergence(
                     &full,
                     &inc,
@@ -1220,7 +1172,7 @@ impl Oracle {
         ctx: &HookCtx<'_>,
         stage: Stage,
         root: PhysAddr,
-        key: CacheKey,
+        key: Component,
         anomalies: &mut Vec<Anomaly>,
         reports: &mut Vec<Violation>,
     ) -> AbstractPgtable {
@@ -1247,27 +1199,21 @@ impl Oracle {
         full
     }
 
-    fn set_component(state: &mut GhostState, value: &ComponentValue, only_if_absent: bool) {
+    fn set_component(
+        state: &mut GhostState,
+        comp: Component,
+        value: &ComponentValue,
+        only_if_absent: bool,
+    ) {
+        if only_if_absent && state.contains(GhostKey::Comp(comp)) {
+            return;
+        }
         match value {
-            ComponentValue::Host(h) => {
-                if !(only_if_absent && state.host.is_some()) {
-                    state.host = Some(h.clone());
-                }
-            }
-            ComponentValue::Pkvm(p) => {
-                if !(only_if_absent && state.pkvm.is_some()) {
-                    state.pkvm = Some(p.clone());
-                }
-            }
-            ComponentValue::VmTable(t, _) => {
-                if !(only_if_absent && state.vm_table.is_some()) {
-                    state.vm_table = Some(t.clone());
-                }
-            }
+            ComponentValue::Host(h) => state.host = Some(h.clone()),
+            ComponentValue::Pkvm(p) => state.pkvm = Some(p.clone()),
+            ComponentValue::VmTable(t, _) => state.vm_table = Some(t.clone()),
             ComponentValue::Vm(h, _, vm) => {
-                if !(only_if_absent && state.vms.contains_key(h)) {
-                    state.vms.insert(*h, vm.clone());
-                }
+                state.vms.insert(*h, vm.clone());
             }
         }
     }
@@ -1282,77 +1228,36 @@ impl Oracle {
         if !self.opts.check_noninterference {
             return;
         }
-        let guard = self.shared.lock();
-        let shared = &guard.state;
-        let (prev, now): (GhostState, GhostState) = match value {
-            ComponentValue::Host(h) => {
-                let Some(p) = &shared.host else { return };
-                (
-                    GhostState {
-                        host: Some(p.clone()),
-                        ..GhostState::default()
-                    },
-                    GhostState {
-                        host: Some(h.clone()),
-                        ..GhostState::default()
-                    },
-                )
-            }
-            ComponentValue::Pkvm(p2) => {
-                let Some(p) = &shared.pkvm else { return };
-                (
-                    GhostState {
-                        pkvm: Some(p.clone()),
-                        ..GhostState::default()
-                    },
-                    GhostState {
-                        pkvm: Some(p2.clone()),
-                        ..GhostState::default()
-                    },
-                )
-            }
-            ComponentValue::VmTable(t, _) => {
-                let Some(p) = &shared.vm_table else { return };
-                (
-                    GhostState {
-                        vm_table: Some(p.clone()),
-                        ..GhostState::default()
-                    },
-                    GhostState {
-                        vm_table: Some(t.clone()),
-                        ..GhostState::default()
-                    },
-                )
-            }
-            ComponentValue::Vm(h, uniq, vm) => {
-                if guard.vm_uniq.get(h).is_some_and(|&stored| stored != *uniq) {
-                    // The stored state belongs to a different incarnation
-                    // of this (reused) handle; nothing comparable.
-                    return;
-                }
-                let Some(p) = shared.vms.get(h) else { return };
-                let mut a = GhostState::default();
-                a.vms.insert(*h, p.clone());
-                let mut b = GhostState::default();
-                b.vms.insert(*h, vm.clone());
-                (a, b)
-            }
+        let key = GhostKey::Comp(comp);
+        let uniq = match value {
+            ComponentValue::Vm(_, u, _) => Some(*u),
+            _ => None,
         };
+        let guard = self.shared.lock();
+        if let (Component::Vm(h), Some(u)) = (comp, uniq) {
+            if guard.vm_uniq.get(&h).is_some_and(|&stored| stored != u) {
+                // The stored state belongs to a different incarnation
+                // of this (reused) handle; nothing comparable.
+                return;
+            }
+        }
+        if !guard.state.contains(key) {
+            return;
+        }
+        let prev = guard.state.part(key);
         drop(guard);
-        let (prev_n, now_n) = (normalize(&prev), normalize(&now));
-        if prev_n != now_n {
-            let uniq = match value {
-                ComponentValue::Vm(_, u, _) => Some(*u),
-                _ => None,
-            };
+        let mut now = GhostState::default();
+        Self::set_component(&mut now, comp, value, false);
+        let (prev, now) = (normalized(prev), normalized(now));
+        if prev != now {
             self.report_at(
                 cpu,
                 trap,
                 Violation::NonInterference {
                     seq: None,
-                    component: comp_name(comp),
+                    component: key.to_string(),
                     uniq,
-                    diff: diff_states(&prev_n, &now_n),
+                    diff: diff_states(&prev, &now),
                 },
             );
         }
@@ -1432,15 +1337,12 @@ impl Oracle {
         let expected = normalize(&self.spec_boot_state());
         let recorded = normalize(&self.shared.lock().state.clone());
         let mut ok = true;
-        for (name, exp_has, rec_has) in [
-            ("host", expected.host.is_some(), recorded.host.is_some()),
-            ("pkvm", expected.pkvm.is_some(), recorded.pkvm.is_some()),
-        ] {
-            if exp_has && !rec_has {
+        for key in [Component::Host, Component::Hyp].map(GhostKey::Comp) {
+            if expected.contains(key) && !recorded.contains(key) {
                 self.report(Violation::SpecMismatch {
                     seq: None,
                     trap: "boot".into(),
-                    component: name.into(),
+                    component: key.to_string(),
                     uniq: None,
                     diff: "component never recorded during boot".into(),
                 });
@@ -1466,72 +1368,29 @@ impl Oracle {
 
     /// Seeds spec-defined but never-recorded components into the shared
     /// copy after a checked trap, so the *next* acquisition validates
-    /// them. Two hardening rules apply. First, seeding runs without the
-    /// component's lock, so a computed value only lands if the component
-    /// has not moved since this trap entered — otherwise a concurrent
-    /// trap's legitimate update would be overwritten with a stale
-    /// expectation and the next acquisition would report a spurious
-    /// non-interference violation. Second, a malformed component name is
-    /// an oracle bug, not a hypervisor bug: it is surfaced as an
-    /// [`Violation::OracleSelfCheck`] instead of panicking the run.
+    /// them. Seeding runs without the component's lock, so a computed
+    /// value only lands if the component has not moved since this trap
+    /// entered — otherwise a concurrent trap's legitimate update would be
+    /// overwritten with a stale expectation and the next acquisition
+    /// would report a spurious non-interference violation.
     fn seed_deferred(
         &self,
-        trap: &str,
-        deferred: &[String],
+        deferred: &[GhostKey],
         computed: &GhostState,
-        versions_at_entry: &HashMap<CompKey, u64>,
+        versions_at_entry: &HashMap<Component, u64>,
     ) {
-        let mut self_check = Vec::new();
         let mut shared = self.shared.lock();
-        for comp in deferred {
-            let key = match comp_key_of_name(comp) {
-                Some(k) => k,
-                None => {
-                    if comp.starts_with("vm[") {
-                        self_check.push(Violation::OracleSelfCheck {
-                            seq: None,
-                            context: format!("deferred seeding after {trap}"),
-                            detail: format!("malformed component name {comp:?}"),
-                        });
-                    }
-                    continue;
-                }
-            };
-            if shared.versions.get(&key) != versions_at_entry.get(&key) {
+        for &key in deferred {
+            // Locals are thread-local: the shared copy never holds them.
+            let GhostKey::Comp(comp) = key else { continue };
+            if shared.versions.get(&comp) != versions_at_entry.get(&comp) {
                 // The component moved while this trap ran; the concurrent
                 // recording is fresher than our computed expectation.
                 continue;
             }
-            match key {
-                CompKey::Host => {
-                    if let Some(h) = &computed.host {
-                        shared.state.host = Some(h.clone());
-                        shared.stamp(key);
-                    }
-                }
-                CompKey::Pkvm => {
-                    if let Some(p) = &computed.pkvm {
-                        shared.state.pkvm = Some(p.clone());
-                        shared.stamp(key);
-                    }
-                }
-                CompKey::VmTable => {
-                    if let Some(t) = &computed.vm_table {
-                        shared.state.vm_table = Some(t.clone());
-                        shared.stamp(key);
-                    }
-                }
-                CompKey::Vm(h) => {
-                    if let Some(vm) = computed.vms.get(&h) {
-                        shared.state.vms.insert(h, vm.clone());
-                        shared.stamp(key);
-                    }
-                }
+            if shared.state.copy_part_from(computed, key) {
+                shared.stamp(comp);
             }
-        }
-        drop(shared);
-        if !self_check.is_empty() {
-            self.report_all_at(0, None, self_check);
         }
     }
 }
@@ -1627,7 +1486,10 @@ impl Oracle {
                             | Violation::UnexpectedChange { component, .. } => component,
                             _ => return true,
                         };
-                        let skip = comp_key_of_name(comp).is_some_and(|k| interleaved.contains(&k));
+                        let skip = matches!(
+                            GhostKey::parse(comp),
+                            Some(GhostKey::Comp(c)) if interleaved.contains(&c)
+                        );
                         if skip {
                             self.counters
                                 .interleaved_skips
@@ -1654,7 +1516,7 @@ impl Oracle {
                 // Seed spec-defined but never-recorded components into the
                 // shared copy: the next acquisition validates them.
                 if !outcome.deferred.is_empty() {
-                    self.seed_deferred(name, &outcome.deferred, &computed, &rec.versions_at_entry);
+                    self.seed_deferred(&outcome.deferred, &computed, &rec.versions_at_entry);
                 }
             }
             SpecVerdict::Unchecked(why) => {
@@ -1732,53 +1594,51 @@ impl Oracle {
                 if check_ni {
                     self.noninterference_check(cpu, trap, comp, &value);
                 }
-                let key = value.key();
                 // Safe to read outside the rec lock: the mutator holds the
                 // component's lock across this message, so no foreign trap
                 // can stamp this component right now.
-                let version = self.shared.lock().versions.get(&key).copied();
+                let version = self.shared.lock().versions.get(&comp).copied();
                 let mut rec = self.cpus[cpu].lock();
                 if trap.is_some() {
                     // A re-acquisition after one of our own releases: if
                     // the stamp moved in between, a foreign trap updated
                     // the component and the atomic per-trap check no
                     // longer applies to it.
-                    if let Some(&last) = rec.last_release.get(&key) {
+                    if let Some(&last) = rec.last_release.get(&comp) {
                         if version != Some(last) {
-                            rec.interleaved.insert(key);
+                            rec.interleaved.insert(comp);
                         }
                     }
                     // First acquisition within the trap defines the
                     // pre-state.
-                    Self::set_component(&mut rec.pre, &value, true);
+                    Self::set_component(&mut rec.pre, comp, &value, true);
                 } else {
                     drop(rec);
-                    self.shared.lock().set(&value);
+                    self.shared.lock().set(comp, &value);
                 }
             }
             CheckMsg::LockReleasing {
                 cpu,
                 trap,
+                comp,
                 value,
                 reports,
-                ..
             } => {
                 if !reports.is_empty() {
                     self.report_all_at(cpu, trap, reports);
                 }
                 self.firmware_backstop(cpu, trap, &value);
-                let key = value.key();
                 let version = {
                     let mut shared = self.shared.lock();
-                    shared.set(&value);
-                    shared.versions.get(&key).copied()
+                    shared.set(comp, &value);
+                    shared.versions.get(&comp).copied()
                 };
                 let mut rec = self.cpus[cpu].lock();
                 if trap.is_some() {
                     // Last release within the trap defines the post-state.
-                    Self::set_component(&mut rec.post, &value, false);
+                    Self::set_component(&mut rec.post, comp, &value, false);
                     if let Some(v) = version {
-                        rec.last_release.insert(key, v);
+                        rec.last_release.insert(comp, v);
                     }
                 }
             }
@@ -1793,7 +1653,7 @@ impl Oracle {
                 // check to the component; budget evictions skip the whole
                 // trap's check anyway.
                 if quarantine && trap.is_some() {
-                    self.cpus[cpu].lock().interleaved.insert(comp_key_of(comp));
+                    self.cpus[cpu].lock().interleaved.insert(comp);
                 }
             }
             CheckMsg::ReadOnce { cpu, tag, value } => {
@@ -1801,66 +1661,73 @@ impl Oracle {
                     call.read_onces.push((tag, value));
                 }
             }
-            CheckMsg::TablePageAlloc {
+            CheckMsg::Observed {
                 cpu,
                 trap,
-                comp,
-                pfn,
-            } => {
-                if !self.opts.check_separation {
-                    return;
-                }
+                seq,
+                event,
+            } => self.apply_observed(cpu, trap, seq, event),
+            CheckMsg::Report {
+                cpu,
+                trap,
+                violations,
+            } => self.report_all_at(cpu, trap, violations),
+            // Barriers are handled in `apply_counted` (outside the
+            // containment net, so the poster can never hang); inline mode
+            // never dispatches one.
+            CheckMsg::Barrier(_) => {}
+        }
+    }
+
+    /// Back half of the protocol hooks: runs the tracker the observed
+    /// event feeds — separation footprints, break-before-make, transfer
+    /// protocol or firmware protection. `seq` is the event's stream seq,
+    /// the anchor a protocol violation carries.
+    fn apply_observed(&self, cpu: usize, trap: Option<u64>, seq: u64, event: Event) {
+        match event {
+            Event::TablePageAlloc { comp, pfn } if self.opts.check_separation => {
                 let mut fp = self.footprints.lock();
-                for (other, pages) in fp.iter() {
-                    if *other != comp && pages.contains(&pfn) {
-                        let v = Violation::SeparationOverlap {
-                            seq: None,
-                            component: format!("{comp:?}"),
-                            pfn,
-                            owner: format!("{other:?}"),
-                        };
-                        drop(fp);
-                        self.report_at(cpu, trap, v);
-                        return;
-                    }
-                }
-                fp.entry(comp).or_default().insert(pfn);
-            }
-            CheckMsg::TablePageFree { comp, pfn } => {
-                if !self.opts.check_separation {
+                let owner = fp
+                    .iter()
+                    .find(|(other, pages)| **other != comp && pages.contains(&pfn))
+                    .map(|(other, _)| *other);
+                let Some(owner) = owner else {
+                    fp.entry(comp).or_default().insert(pfn);
                     return;
-                }
+                };
+                drop(fp);
+                let v = Violation::SeparationOverlap {
+                    seq: None,
+                    component: format!("{comp:?}"),
+                    pfn,
+                    owner: format!("{owner:?}"),
+                };
+                self.report_at(cpu, trap, v);
+            }
+            Event::TablePageFree { comp, pfn } if self.opts.check_separation => {
                 if let Some(pages) = self.footprints.lock().get_mut(&comp) {
                     pages.remove(&pfn);
                 }
             }
-            CheckMsg::PteDowngrade {
-                cpu,
-                seq,
-                vmid,
-                ia,
-                nr,
-            } => self.bbm.lock().note_break(cpu, seq, vmid, ia, nr),
-            CheckMsg::Tlbi {
-                cpu,
-                vmid,
-                ia,
-                nr,
-                broadcast,
-            } => {
-                if broadcast {
-                    self.bbm.lock().note_tlbi(cpu, vmid, ia, nr);
-                }
+            Event::PteDowngrade { vmid, ia, nr, .. } => {
+                self.bbm.lock().note_break(cpu, seq, vmid, ia, nr);
             }
-            CheckMsg::Dsb { cpu } => self.bbm.lock().note_dsb(cpu),
-            CheckMsg::Transfer {
-                cpu,
-                trap,
-                seq,
+            // Only a broadcast TLBI can retire a break other CPUs may
+            // still hold stale.
+            Event::Tlbi {
+                vmid,
+                ia,
+                nr,
+                broadcast: true,
+                ..
+            } => self.bbm.lock().note_tlbi(cpu, vmid, ia, nr),
+            Event::Dsb { .. } => self.bbm.lock().note_dsb(cpu),
+            Event::Transfer {
                 edge,
                 pfn,
                 nr,
                 dirty,
+                ..
             } => {
                 crate::spec::spec_hit(match edge {
                     TransferEdge::ShareHyp => "spec/transfer/share_hyp",
@@ -1897,33 +1764,22 @@ impl Oracle {
                     self.report_all_at(cpu, trap, violations);
                 }
             }
-            CheckMsg::FirmwareDonate {
+            Event::FirmwareDonate {
                 handle,
                 uniq,
                 pfn,
                 nr,
+                ..
             } => self.firmware.lock().note_donate(handle, uniq, pfn, nr),
-            CheckMsg::HostRegain {
-                cpu,
-                trap,
-                seq,
-                pfn,
-                nr,
-            } => {
+            Event::HostRegain { pfn, nr, .. } => {
                 let violations = self.firmware.lock().check_regain(seq, pfn, nr);
                 if !violations.is_empty() {
                     self.report_all_at(cpu, trap, violations);
                 }
             }
-            CheckMsg::Report {
-                cpu,
-                trap,
-                violations,
-            } => self.report_all_at(cpu, trap, violations),
-            // Barriers are handled in `apply_counted` (outside the
-            // containment net, so the poster can never hang); inline mode
-            // never dispatches one.
-            CheckMsg::Barrier(_) => {}
+            // Separation tracking off, a local TLBI, or an event the front
+            // half never forwards: nothing to track.
+            _ => {}
         }
     }
 
@@ -2213,7 +2069,7 @@ impl GhostHooks for Oracle {
             trap,
             Event::LockAcquired { cpu: ctx.cpu, comp },
         );
-        let key = comp_name(comp);
+        let key = GhostKey::Comp(comp).to_string();
         let check_ni = match self.quarantine.disposition(&key) {
             Disposition::Skip => {
                 self.note_quarantine_skip(ctx.cpu, trap, comp);
@@ -2263,7 +2119,7 @@ impl GhostHooks for Oracle {
             trap,
             Event::LockReleasing { cpu: ctx.cpu, comp },
         );
-        let key = comp_name(comp);
+        let key = GhostKey::Comp(comp).to_string();
         match self.quarantine.disposition(&key) {
             Disposition::Skip => {
                 self.note_quarantine_skip(ctx.cpu, trap, comp);
@@ -2324,164 +2180,75 @@ impl GhostHooks for Oracle {
     }
 
     fn table_page_alloc(&self, ctx: &HookCtx<'_>, comp: Component, page: PhysAddr) {
-        let trap = self.current_trap(ctx.cpu);
-        self.events.emit(
-            ctx.cpu as u32,
-            trap,
-            Event::TablePageAlloc {
-                comp,
-                pfn: page.pfn(),
-            },
-        );
-        self.dispatch(CheckMsg::TablePageAlloc {
-            cpu: ctx.cpu,
-            trap,
+        let event = Event::TablePageAlloc {
             comp,
             pfn: page.pfn(),
-        });
+        };
+        self.observe(ctx, "table_page_alloc", event);
     }
 
     fn table_page_free(&self, ctx: &HookCtx<'_>, comp: Component, page: PhysAddr) {
-        let trap = self.current_trap(ctx.cpu);
-        self.events.emit(
-            ctx.cpu as u32,
-            trap,
-            Event::TablePageFree {
-                comp,
-                pfn: page.pfn(),
-            },
-        );
-        self.dispatch(CheckMsg::TablePageFree {
+        let event = Event::TablePageFree {
             comp,
             pfn: page.pfn(),
-        });
+        };
+        self.observe(ctx, "table_page_free", event);
     }
 
     fn pte_downgrade(&self, ctx: &HookCtx<'_>, vmid: u16, ia: u64, nr_pages: u64) {
-        self.guarded("pte_downgrade", || {
-            let trap = self.current_trap(ctx.cpu);
-            let seq = self.events.emit(
-                ctx.cpu as u32,
-                trap,
-                Event::PteDowngrade {
-                    cpu: ctx.cpu,
-                    vmid,
-                    ia,
-                    nr: nr_pages,
-                },
-            );
-            self.dispatch(CheckMsg::PteDowngrade {
-                cpu: ctx.cpu,
-                seq,
-                vmid,
-                ia,
-                nr: nr_pages,
-            });
-        });
+        let event = Event::PteDowngrade {
+            cpu: ctx.cpu,
+            vmid,
+            ia,
+            nr: nr_pages,
+        };
+        self.observe(ctx, "pte_downgrade", event);
     }
 
     fn tlbi(&self, ctx: &HookCtx<'_>, vmid: u16, ia: u64, nr_pages: u64, broadcast: bool) {
-        self.guarded("tlbi", || {
-            let trap = self.current_trap(ctx.cpu);
-            self.events.emit(
-                ctx.cpu as u32,
-                trap,
-                Event::Tlbi {
-                    vmid,
-                    ia,
-                    nr: nr_pages,
-                    broadcast,
-                    cpu: ctx.cpu,
-                },
-            );
-            self.dispatch(CheckMsg::Tlbi {
-                cpu: ctx.cpu,
-                vmid,
-                ia,
-                nr: nr_pages,
-                broadcast,
-            });
-        });
+        let event = Event::Tlbi {
+            vmid,
+            ia,
+            nr: nr_pages,
+            broadcast,
+            cpu: ctx.cpu,
+        };
+        self.observe(ctx, "tlbi", event);
     }
 
     fn dsb(&self, ctx: &HookCtx<'_>) {
-        self.guarded("dsb", || {
-            let trap = self.current_trap(ctx.cpu);
-            self.events
-                .emit(ctx.cpu as u32, trap, Event::Dsb { cpu: ctx.cpu });
-            self.dispatch(CheckMsg::Dsb { cpu: ctx.cpu });
-        });
+        self.observe(ctx, "dsb", Event::Dsb { cpu: ctx.cpu });
     }
 
     fn transfer(&self, ctx: &HookCtx<'_>, edge: TransferEdge, pfn: u64, nr: u64, dirty: bool) {
-        self.guarded("transfer", || {
-            let trap = self.current_trap(ctx.cpu);
-            let seq = self.events.emit(
-                ctx.cpu as u32,
-                trap,
-                Event::Transfer {
-                    cpu: ctx.cpu,
-                    edge,
-                    pfn,
-                    nr,
-                    dirty,
-                },
-            );
-            self.dispatch(CheckMsg::Transfer {
-                cpu: ctx.cpu,
-                trap,
-                seq,
-                edge,
-                pfn,
-                nr,
-                dirty,
-            });
-        });
+        let event = Event::Transfer {
+            cpu: ctx.cpu,
+            edge,
+            pfn,
+            nr,
+            dirty,
+        };
+        self.observe(ctx, "transfer", event);
     }
 
     fn firmware_donated(&self, ctx: &HookCtx<'_>, handle: Handle, uniq: u64, pfn: u64, nr: u64) {
-        self.guarded("firmware_donated", || {
-            let trap = self.current_trap(ctx.cpu);
-            self.events.emit(
-                ctx.cpu as u32,
-                trap,
-                Event::FirmwareDonate {
-                    cpu: ctx.cpu,
-                    handle,
-                    uniq,
-                    pfn,
-                    nr,
-                },
-            );
-            self.dispatch(CheckMsg::FirmwareDonate {
-                handle,
-                uniq,
-                pfn,
-                nr,
-            });
-        });
+        let event = Event::FirmwareDonate {
+            cpu: ctx.cpu,
+            handle,
+            uniq,
+            pfn,
+            nr,
+        };
+        self.observe(ctx, "firmware_donated", event);
     }
 
     fn host_regain(&self, ctx: &HookCtx<'_>, pfn: u64, nr: u64) {
-        self.guarded("host_regain", || {
-            let trap = self.current_trap(ctx.cpu);
-            let seq = self.events.emit(
-                ctx.cpu as u32,
-                trap,
-                Event::HostRegain {
-                    cpu: ctx.cpu,
-                    pfn,
-                    nr,
-                },
-            );
-            self.dispatch(CheckMsg::HostRegain {
-                cpu: ctx.cpu,
-                trap,
-                seq,
-                pfn,
-                nr,
-            });
-        });
+        let event = Event::HostRegain {
+            cpu: ctx.cpu,
+            pfn,
+            nr,
+        };
+        self.observe(ctx, "host_regain", event);
     }
 
     fn hyp_panic(&self, ctx: &HookCtx<'_>, reason: &str) {
@@ -2637,21 +2404,42 @@ mod tests {
         let o = oracle();
         let h: Handle = 0x1000;
         let mut shared = o.shared.lock();
-        shared.set(&ComponentValue::VmTable(vec![(h, 0)], vec![(h, 1)]));
-        shared.set(&ComponentValue::Vm(h, 1, ghost_vm(h, &[0x44007])));
+        shared.set(
+            Component::VmTable,
+            &ComponentValue::VmTable(vec![(h, 0)], vec![(h, 1)]),
+        );
+        shared.set(
+            Component::Vm(h),
+            &ComponentValue::Vm(h, 1, ghost_vm(h, &[0x44007])),
+        );
         assert!(shared.state.vms.contains_key(&h));
         // Teardown: table recorded without the VM prunes its entry...
-        shared.set(&ComponentValue::VmTable(Vec::new(), Vec::new()));
+        shared.set(
+            Component::VmTable,
+            &ComponentValue::VmTable(Vec::new(), Vec::new()),
+        );
         assert!(!shared.state.vms.contains_key(&h));
         // ...and the dying VM's trailing lock release is dropped.
-        shared.set(&ComponentValue::Vm(h, 1, ghost_vm(h, &[0x44007])));
+        shared.set(
+            Component::Vm(h),
+            &ComponentValue::Vm(h, 1, ghost_vm(h, &[0x44007])),
+        );
         assert!(!shared.state.vms.contains_key(&h), "dead VM resurrected");
         // A new incarnation reusing the handle records normally.
-        shared.set(&ComponentValue::VmTable(vec![(h, 0)], vec![(h, 2)]));
-        shared.set(&ComponentValue::Vm(h, 2, ghost_vm(h, &[0x44e07])));
+        shared.set(
+            Component::VmTable,
+            &ComponentValue::VmTable(vec![(h, 0)], vec![(h, 2)]),
+        );
+        shared.set(
+            Component::Vm(h),
+            &ComponentValue::Vm(h, 2, ghost_vm(h, &[0x44e07])),
+        );
         assert_eq!(shared.state.vms[&h].donated, vec![0x44e07]);
         // An even later stale release from the old incarnation still loses.
-        shared.set(&ComponentValue::Vm(h, 1, ghost_vm(h, &[0x44007])));
+        shared.set(
+            Component::Vm(h),
+            &ComponentValue::Vm(h, 1, ghost_vm(h, &[0x44007])),
+        );
         assert_eq!(shared.state.vms[&h].donated, vec![0x44e07]);
     }
 
@@ -2661,8 +2449,14 @@ mod tests {
         let h: Handle = 0x1000;
         {
             let mut shared = o.shared.lock();
-            shared.set(&ComponentValue::VmTable(vec![(h, 0)], vec![(h, 2)]));
-            shared.set(&ComponentValue::Vm(h, 2, ghost_vm(h, &[0x44e07])));
+            shared.set(
+                Component::VmTable,
+                &ComponentValue::VmTable(vec![(h, 0)], vec![(h, 2)]),
+            );
+            shared.set(
+                Component::Vm(h),
+                &ComponentValue::Vm(h, 2, ghost_vm(h, &[0x44e07])),
+            );
         }
         // A different incarnation's view differing from the stored state
         // is not interference — the two states describe different VMs.
@@ -2695,12 +2489,21 @@ mod tests {
         let o = oracle();
         let h: Handle = 0x1000;
         let mut shared = o.shared.lock();
-        shared.set(&ComponentValue::VmTable(vec![(h, 0)], vec![(h, 1)]));
-        shared.set(&ComponentValue::Vm(h, 1, ghost_vm(h, &[0x44007])));
-        let stamp_before = shared.versions[&CompKey::Vm(h)];
-        shared.set(&ComponentValue::VmTable(vec![(h, 0)], vec![(h, 5)]));
+        shared.set(
+            Component::VmTable,
+            &ComponentValue::VmTable(vec![(h, 0)], vec![(h, 1)]),
+        );
+        shared.set(
+            Component::Vm(h),
+            &ComponentValue::Vm(h, 1, ghost_vm(h, &[0x44007])),
+        );
+        let stamp_before = shared.versions[&Component::Vm(h)];
+        shared.set(
+            Component::VmTable,
+            &ComponentValue::VmTable(vec![(h, 0)], vec![(h, 5)]),
+        );
         assert!(!shared.state.vms.contains_key(&h));
-        assert!(shared.versions[&CompKey::Vm(h)] > stamp_before);
+        assert!(shared.versions[&Component::Vm(h)] > stamp_before);
         assert_eq!(shared.vm_uniq[&h], 5);
     }
 
@@ -2749,27 +2552,6 @@ mod tests {
         shared.state.host = Some(host);
         drop(shared);
         assert!(o.approx_ghost_bytes() > base);
-    }
-
-    #[test]
-    fn malformed_deferred_name_reports_a_self_check_violation() {
-        let o = oracle();
-        let computed = GhostState::blank(&o.globals);
-        o.seed_deferred(
-            "init_vm",
-            &["vm[bogus]".to_string(), "vm[".to_string()],
-            &computed,
-            &HashMap::new(),
-        );
-        let vs = o.violations();
-        assert_eq!(vs.len(), 2, "{vs:?}");
-        for v in &vs {
-            assert!(
-                matches!(v, Violation::OracleSelfCheck { context, detail, .. }
-                    if context.contains("init_vm") && detail.contains("malformed")),
-                "{v}"
-            );
-        }
     }
 
     #[test]
@@ -2824,7 +2606,10 @@ mod tests {
         let h: Handle = 0x1000;
         {
             let mut shared = o.shared.lock();
-            shared.set(&ComponentValue::VmTable(vec![(h, 0)], vec![(h, 7)]));
+            shared.set(
+                Component::VmTable,
+                &ComponentValue::VmTable(vec![(h, 0)], vec![(h, 7)]),
+            );
         }
         o.report(Violation::SpecMismatch {
             seq: None,
@@ -2865,7 +2650,7 @@ mod tests {
         {
             let mut shared = o.shared.lock();
             shared.state.host = Some(concurrent.clone());
-            shared.stamp(CompKey::Host);
+            shared.stamp(Component::Host);
         }
         let mut computed = GhostState::blank(&o.globals);
         let mut stale = GhostHost::default();
@@ -2877,7 +2662,11 @@ mod tests {
             },
         });
         computed.host = Some(stale);
-        o.seed_deferred("share", &["host".to_string()], &computed, &HashMap::new());
+        o.seed_deferred(
+            &[GhostKey::Comp(Component::Host)],
+            &computed,
+            &HashMap::new(),
+        );
         // The stale expectation must not overwrite the fresher recording.
         let shared = o.shared.lock();
         assert_eq!(shared.state.host.as_ref(), Some(&concurrent));
@@ -2886,7 +2675,7 @@ mod tests {
 
         // With matching versions the seed lands.
         let versions = o.shared.lock().versions.clone();
-        o.seed_deferred("share", &["host".to_string()], &computed, &versions);
+        o.seed_deferred(&[GhostKey::Comp(Component::Host)], &computed, &versions);
         let shared = o.shared.lock();
         assert_eq!(shared.state.host.as_ref(), computed.host.as_ref());
     }

@@ -9,8 +9,10 @@
 //! structure.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
 use pkvm_aarch64::sysreg::GprFile;
+use pkvm_hyp::hooks::Component;
 use pkvm_hyp::machine::Machine;
 use pkvm_hyp::vm::Handle;
 
@@ -167,6 +169,53 @@ pub struct GhostCpu {
     pub loaded: Option<GhostLoadedVcpu>,
 }
 
+/// One separately recorded part of a [`GhostState`]: a lock-protected
+/// [`Component`], or one hardware thread's locals. It is the unit the
+/// ternary check compares; the oracle's per-component ledgers key on the
+/// [`Component`] alone.
+///
+/// `Display` gives the spec's component names (`host`, `pkvm`,
+/// `vm_table`, `vm[<handle>]`, `locals[<cpu>]`), the `component` string
+/// of spec-mismatch, unexpected-change and non-interference
+/// [`Violation`](crate::check::Violation)s; [`GhostKey::parse`] reads
+/// such a string back.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum GhostKey {
+    /// A lock-protected component.
+    Comp(Component),
+    /// The thread-local part of one hardware thread.
+    Locals(usize),
+}
+
+impl GhostKey {
+    /// Parses a component name as `Display` renders it; `None` for
+    /// anything else.
+    pub fn parse(name: &str) -> Option<GhostKey> {
+        let index = |prefix: &str| name.strip_prefix(prefix)?.strip_suffix(']');
+        match name {
+            "host" => Some(GhostKey::Comp(Component::Host)),
+            "pkvm" => Some(GhostKey::Comp(Component::Hyp)),
+            "vm_table" => Some(GhostKey::Comp(Component::VmTable)),
+            _ => match index("vm[") {
+                Some(h) => h.parse().ok().map(|h| GhostKey::Comp(Component::Vm(h))),
+                None => index("locals[")?.parse().ok().map(GhostKey::Locals),
+            },
+        }
+    }
+}
+
+impl fmt::Display for GhostKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            GhostKey::Comp(Component::Host) => f.write_str("host"),
+            GhostKey::Comp(Component::Hyp) => f.write_str("pkvm"),
+            GhostKey::Comp(Component::VmTable) => f.write_str("vm_table"),
+            GhostKey::Comp(Component::Vm(h)) => write!(f, "vm[{h}]"),
+            GhostKey::Locals(cpu) => write!(f, "locals[{cpu}]"),
+        }
+    }
+}
+
 /// The (partial) ghost state: the `struct ghost_state` of §3.1.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct GhostState {
@@ -273,6 +322,81 @@ impl GhostState {
     /// (`ghost_write_gpr`), creating the local component if needed.
     pub fn write_gpr(&mut self, cpu: usize, n: usize, v: u64) {
         self.locals.entry(cpu).or_default().regs.set(n, v);
+    }
+
+    /// The keys of the parts this state holds: host, pkvm, VM table,
+    /// then the VMs and the locals in ascending order.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = GhostKey> + '_ {
+        [
+            (self.host.is_some(), Component::Host),
+            (self.pkvm.is_some(), Component::Hyp),
+            (self.vm_table.is_some(), Component::VmTable),
+        ]
+        .into_iter()
+        .filter_map(|(held, comp)| held.then_some(comp))
+        .chain(self.vms.keys().map(|&h| Component::Vm(h)))
+        .map(GhostKey::Comp)
+        .chain(self.locals.keys().map(|&cpu| GhostKey::Locals(cpu)))
+    }
+
+    /// Whether this state holds the part `key`.
+    pub(crate) fn contains(&self, key: GhostKey) -> bool {
+        match key {
+            GhostKey::Comp(Component::Host) => self.host.is_some(),
+            GhostKey::Comp(Component::Hyp) => self.pkvm.is_some(),
+            GhostKey::Comp(Component::VmTable) => self.vm_table.is_some(),
+            GhostKey::Comp(Component::Vm(h)) => self.vms.contains_key(&h),
+            GhostKey::Locals(cpu) => self.locals.contains_key(&cpu),
+        }
+    }
+
+    /// A state holding only the part `key` of this one (empty when this
+    /// state does not hold it), with default globals.
+    pub(crate) fn part(&self, key: GhostKey) -> GhostState {
+        let mut s = GhostState::default();
+        s.copy_part_from(self, key);
+        s
+    }
+
+    /// Copies the part `key` from `src`, if `src` holds it. Returns
+    /// whether it did.
+    pub(crate) fn copy_part_from(&mut self, src: &GhostState, key: GhostKey) -> bool {
+        fn copy<T: Clone>(dst: &mut Option<T>, src: &Option<T>) -> bool {
+            let Some(v) = src else { return false };
+            *dst = Some(v.clone());
+            true
+        }
+        fn copy_entry<K: Ord, V: Clone>(
+            dst: &mut BTreeMap<K, V>,
+            src: &BTreeMap<K, V>,
+            k: K,
+        ) -> bool {
+            let Some(v) = src.get(&k) else { return false };
+            dst.insert(k, v.clone());
+            true
+        }
+        match key {
+            GhostKey::Comp(Component::Host) => copy(&mut self.host, &src.host),
+            GhostKey::Comp(Component::Hyp) => copy(&mut self.pkvm, &src.pkvm),
+            GhostKey::Comp(Component::VmTable) => copy(&mut self.vm_table, &src.vm_table),
+            GhostKey::Comp(Component::Vm(h)) => copy_entry(&mut self.vms, &src.vms, h),
+            GhostKey::Locals(cpu) => copy_entry(&mut self.locals, &src.locals, cpu),
+        }
+    }
+
+    /// Drops the part `key`, if held.
+    pub(crate) fn remove(&mut self, key: GhostKey) {
+        match key {
+            GhostKey::Comp(Component::Host) => self.host = None,
+            GhostKey::Comp(Component::Hyp) => self.pkvm = None,
+            GhostKey::Comp(Component::VmTable) => self.vm_table = None,
+            GhostKey::Comp(Component::Vm(h)) => {
+                self.vms.remove(&h);
+            }
+            GhostKey::Locals(cpu) => {
+                self.locals.remove(&cpu);
+            }
+        }
     }
 }
 

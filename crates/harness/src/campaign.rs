@@ -17,9 +17,10 @@
 //! stream's global sequence numbers are an approximate linearisation of
 //! the campaign — each action is emitted immediately before it executes —
 //! so a violating campaign can be [`replay`]ed single-threaded from the
-//! recorded seeds and schedule alone, [`minimize`]d to a short reproducer
-//! by greedy chunk removal, or persisted to a `.pkvmtrace` file (see
-//! [`crate::tracefile`]) and replayed in a fresh process.
+//! recorded seeds and schedule alone, minimized to a short reproducer
+//! ([`crate::minimize()`]) by greedy chunk removal, or persisted to a
+//! `.pkvmtrace` file (see [`crate::tracefile`]) and replayed in a fresh
+//! process.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -29,7 +30,7 @@ use pkvm_ghost::event::{Event, EventRecord};
 use pkvm_ghost::oracle::OracleOpts;
 use pkvm_ghost::{CheckMode, StatsSnapshot, Violation};
 use pkvm_hyp::faults::FaultSet;
-use pkvm_hyp::machine::MachineConfig;
+use pkvm_hyp::machine::{Machine, MachineConfig};
 
 use crate::chaos::{ChaosCfg, ChaosDriver, ChaosInjected};
 use crate::proxy::Proxy;
@@ -584,40 +585,14 @@ impl ReplayMachine {
         ReplayMachine { proxy, steps: 0 }
     }
 
-    /// Executes one recorded event. Only *driver* events run — oracle
-    /// and chaos events in a trace are context, not instructions; the
-    /// replay oracle regenerates its own. After a hypervisor panic
-    /// nothing further executes (the machine is dead; feeding it more of
-    /// the schedule would only mask the panic site). Returns `true` when
-    /// the event actually executed. No RNG, model or allocator runs:
-    /// every argument is already concrete in the event.
+    /// Executes one recorded event. Only driver events run, and nothing
+    /// after a hypervisor panic; the replay oracle regenerates the trace's
+    /// oracle and chaos events on its own. Returns `true` when the event
+    /// actually executed.
     pub fn step(&mut self, ev: &Event) -> bool {
-        let m = &self.proxy.machine;
-        if m.panicked().is_some() {
-            return false;
-        }
-        match ev {
-            Event::Hvc { cpu, func, args } => {
-                let _ = m.hvc(*cpu, *func, args);
-            }
-            Event::WriteMem { pa, value } => {
-                // Host privilege: through the host's stage 2, like the
-                // recording side (Proxy::write_mem).
-                let _ = m.host_write(0, *pa, *value);
-            }
-            Event::CorruptMem { pa, value } => {
-                let _ = m.mem.write_u64(PhysAddr::new(*pa), *value);
-            }
-            Event::HostAccess { cpu, addr, access } => {
-                let _ = m.host_access(*cpu, *addr, *access);
-            }
-            Event::PushGuestOp { handle, idx, op } => {
-                let _ = m.push_guest_op(*handle, *idx, *op);
-            }
-            _ => return false,
-        }
-        self.steps += 1;
-        true
+        let ran = execute_driver(&self.proxy.machine, ev);
+        self.steps += usize::from(ran);
+        ran
     }
 
     /// Driver events executed so far.
@@ -635,6 +610,41 @@ impl ReplayMachine {
             steps: self.steps,
         }
     }
+}
+
+/// Executes one recorded event on `m`: the one interpretation of a
+/// schedule that replay, differential rows and the fuzzer share. Only
+/// *driver* events run — oracle and chaos events in a trace are context,
+/// not instructions. After a hypervisor panic nothing further executes
+/// (the machine is dead; feeding it more of the schedule would only mask
+/// the panic site). Returns `true` when the event actually executed. No
+/// RNG, model or allocator runs: every argument is already concrete in
+/// the event.
+pub(crate) fn execute_driver(m: &Machine, ev: &Event) -> bool {
+    if m.panicked().is_some() {
+        return false;
+    }
+    match ev {
+        Event::Hvc { cpu, func, args } => {
+            let _ = m.hvc(*cpu, *func, args);
+        }
+        Event::WriteMem { pa, value } => {
+            // Host privilege: through the host's stage 2, like the
+            // recording side (Proxy::write_mem).
+            let _ = m.host_write(0, *pa, *value);
+        }
+        Event::CorruptMem { pa, value } => {
+            let _ = m.mem.write_u64(PhysAddr::new(*pa), *value);
+        }
+        Event::HostAccess { cpu, addr, access } => {
+            let _ = m.host_access(*cpu, *addr, *access);
+        }
+        Event::PushGuestOp { handle, idx, op } => {
+            let _ = m.push_guest_op(*handle, *idx, *op);
+        }
+        _ => return false,
+    }
+    true
 }
 
 /// Replays a *streamed* schedule under `header`'s configuration in O(1)
@@ -660,14 +670,10 @@ where
     Ok(rm.outcome())
 }
 
-// The greedy minimizer moved to its own module so campaign post-mortems
-// and fuzzer crash triage share it; re-exported here because
-// `campaign::minimize` predates the split.
-pub use crate::minimize::minimize;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::minimize::minimize;
     use pkvm_hyp::faults::Fault;
 
     #[test]

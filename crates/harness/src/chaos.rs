@@ -104,8 +104,8 @@ impl ChaosFamily {
 
 /// Seeded chaos configuration: per-family injection probabilities.
 ///
-/// `Copy` on purpose — the config travels into [`CampaignTrace`]
-/// (see [`crate::campaign::CampaignTrace::chaos`]) so a violating
+/// `Copy` on purpose — the config travels into
+/// [`CampaignTrace::chaos`](crate::campaign::CampaignTrace::chaos) so a violating
 /// chaotic campaign replays with the same chaos stream re-seeded.
 /// Construct with [`ChaosCfg::builder`] or [`ChaosCfg::only`]; the
 /// default is inert (all probabilities zero).

@@ -9,7 +9,7 @@
 //!   prediction, reproducible per seed;
 //! - [`campaign`] — parallel multi-worker random-testing campaigns with
 //!   recorded schedules and deterministic replay;
-//! - [`minimize`] — the budgeted greedy trace minimizer shared by
+//! - [`mod@minimize`] — the budgeted greedy trace minimizer shared by
 //!   campaign post-mortems and fuzzer crash triage;
 //! - [`fuzz`] — the coverage-guided fuzzer: corpus of persisted seeds,
 //!   structure-aware mutation, rarity-weighted scheduling and violation

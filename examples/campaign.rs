@@ -6,7 +6,8 @@
 //!
 //! Run with `cargo run --release --example campaign -- [workers] [steps-per-worker] [seed]`.
 
-use pkvm_harness::campaign::{minimize, replay, CampaignCfg};
+use pkvm_harness::campaign::{replay, CampaignCfg};
+use pkvm_harness::minimize;
 
 fn parse_u64(s: &str) -> Option<u64> {
     match s.strip_prefix("0x") {
