@@ -572,31 +572,36 @@ impl PhysMem {
     }
 
     /// Reads all 512 descriptors of the table page whose base is `table`
-    /// in one access: one region check, one lock acquire, one page lookup
-    /// and one 4 KiB copy instead of 512 of each. An unbacked page reads
-    /// as all-zero descriptors, matching [`PhysMem::read_u64`]'s
-    /// zero-fill semantics. The page-table interpreter leans on this:
-    /// abstracting a table level touches every descriptor, and the
-    /// per-descriptor bookkeeping dominates the walk otherwise.
+    /// into `out` in one access: one region check, one lock acquire, one
+    /// page lookup and one 4 KiB copy instead of 512 of each. An unbacked
+    /// page reads as all-zero descriptors, matching
+    /// [`PhysMem::read_u64`]'s zero-fill semantics. The page-table
+    /// interpreter leans on this: abstracting a table level touches every
+    /// descriptor, and the per-descriptor bookkeeping dominates the walk
+    /// otherwise. The caller owns the buffer, so a walk reuses its own
+    /// storage instead of allocating a table's worth per node.
     ///
     /// # Errors
     ///
-    /// Returns [`BusError`] for table bases outside every region.
+    /// Returns [`BusError`] for table bases outside every region; `out`
+    /// is left untouched then.
     ///
     /// # Panics
     ///
     /// Panics if `table` is not page aligned (table bases always are).
-    pub fn read_table(&self, table: PhysAddr) -> Result<Box<[Pte; 512]>, BusError> {
+    pub fn read_table_into(&self, table: PhysAddr, out: &mut [Pte; 512]) -> Result<(), BusError> {
         assert!(table.is_page_aligned(), "misaligned table base {table}");
         self.note_access(table, false)?;
-        let mut out = Box::new([Pte(0); 512]);
         let pages = self.pages.read();
-        if let Some(page) = pages.get(&table.pfn()) {
-            for (i, chunk) in page.chunks_exact(8).enumerate() {
-                out[i] = Pte(u64::from_le_bytes(chunk.try_into().unwrap()));
+        match pages.get(&table.pfn()) {
+            Some(page) => {
+                for (pte, chunk) in out.iter_mut().zip(page.chunks_exact(8)) {
+                    *pte = Pte(u64::from_le_bytes(chunk.try_into().unwrap()));
+                }
             }
+            None => out.fill(Pte(0)),
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Writes the `idx`th descriptor of the table whose base is `table`.
@@ -695,6 +700,23 @@ mod tests {
         m.write_pte(table, 5, Pte(0x123)).unwrap();
         assert_eq!(m.read_pte(table, 5).unwrap().bits(), 0x123);
         assert_eq!(m.read_pte(table, 4).unwrap().bits(), 0);
+    }
+
+    #[test]
+    fn read_table_into_overwrites_the_whole_buffer() {
+        let m = mem();
+        let table = PhysAddr::new(0x4001_0000);
+        m.write_pte(table, 5, Pte(0x123)).unwrap();
+        let mut buf = [Pte(0xff); 512];
+        m.read_table_into(table, &mut buf).unwrap();
+        assert_eq!(buf[5].bits(), 0x123);
+        assert!(buf.iter().enumerate().all(|(i, p)| i == 5 || p.bits() == 0));
+        // An unbacked page reads as all-zero descriptors, and a stale
+        // buffer is cleared rather than left behind.
+        m.read_table_into(PhysAddr::new(0x4002_0000), &mut buf)
+            .unwrap();
+        assert!(buf.iter().all(|p| p.bits() == 0));
+        assert!(m.read_table_into(PhysAddr::new(0x1000), &mut buf).is_err());
     }
 
     #[test]

@@ -404,12 +404,15 @@ impl AbsCache {
                     .filter(|&(_, &(l, at))| l >= owned_from && at >= ia && at < end)
                     .map(|(&pfn, _)| pfn)
                     .collect();
-                for pfn in stale {
-                    e.meta.remove(&pfn);
-                    e.interp.table_pages.remove(&pfn);
+                if !stale.is_empty() || !sub.table_pages.is_empty() {
+                    let pages = e.interp.table_pages.make_mut();
+                    for pfn in stale {
+                        e.meta.remove(&pfn);
+                        pages.remove(&pfn);
+                    }
+                    pages.extend(sub.table_pages.iter().copied());
                 }
                 e.meta.extend(sub_meta);
-                e.interp.table_pages.extend(sub.table_pages);
             }
         }
         e.gen = snap;

@@ -12,7 +12,7 @@
 //! [`abstract_host`] (with its legality check of the loosely-specified
 //! mapped-on-demand region), and [`abstract_vm`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use pkvm_aarch64::addr::{level_pages, PhysAddr, PAGE_SIZE, PTES_PER_TABLE, START_LEVEL};
 use pkvm_aarch64::attrs::{MemType, Perms, Stage};
@@ -22,7 +22,7 @@ use pkvm_hyp::hooks::VmView;
 use pkvm_hyp::owner::{annotation_owner, OwnerId, PageState};
 
 use crate::maplet::{AbsAttrs, Maplet, MapletTarget};
-use crate::mapping::Mapping;
+use crate::mapping::{push_coalesced, Mapping};
 use crate::state::{AbstractPgtable, GhostGlobals, GhostHost, GhostPkvm, GhostVcpu, GhostVm};
 
 /// Something in the concrete state that no well-formed hypervisor state
@@ -89,8 +89,9 @@ pub fn interpret_pgtable(
     root: PhysAddr,
     anomalies: &mut Vec<Anomaly>,
 ) -> AbstractPgtable {
-    let mut meta = TableMeta::new();
-    interpret_subtree(mem, stage, root, START_LEVEL, 0, &mut meta, anomalies)
+    let mut out = Walk::default();
+    interpret_table(mem, stage, root, START_LEVEL, 0, &mut out, anomalies);
+    out.finish()
 }
 
 /// [`interpret_pgtable`], additionally returning the per-node
@@ -106,6 +107,26 @@ pub fn interpret_pgtable_with_meta(
     (out, meta)
 }
 
+/// One interpretation under construction: maplets in a plain vector,
+/// coalesced as the in-order traversal appends them and wrapped into a
+/// [`Mapping`] once at the end, plus the table-node footprint and, for
+/// the incremental cache, the node locations.
+#[derive(Default)]
+struct Walk<'a> {
+    maplets: Vec<Maplet>,
+    table_pages: BTreeSet<u64>,
+    meta: Option<&'a mut TableMeta>,
+}
+
+impl Walk<'_> {
+    fn finish(self) -> AbstractPgtable {
+        AbstractPgtable {
+            mapping: Mapping::from_canonical(self.maplets),
+            table_pages: self.table_pages.into(),
+        }
+    }
+}
+
 /// Interprets the subtree rooted at the table node `table`, which sits at
 /// `level` and maps input addresses from `ia_base`. The root call is
 /// `interpret_subtree(mem, stage, root, START_LEVEL, 0, ..)`; the
@@ -119,9 +140,12 @@ pub fn interpret_subtree(
     meta: &mut TableMeta,
     anomalies: &mut Vec<Anomaly>,
 ) -> AbstractPgtable {
-    let mut out = AbstractPgtable::default();
-    interpret_table(mem, stage, table, level, ia_base, &mut out, meta, anomalies);
-    out
+    let mut out = Walk {
+        meta: Some(meta),
+        ..Walk::default()
+    };
+    interpret_table(mem, stage, table, level, ia_base, &mut out, anomalies);
+    out.finish()
 }
 
 /// Re-interprets the single descriptor `idx` of the table node `table`,
@@ -141,53 +165,69 @@ pub(crate) fn interpret_descriptor(
     meta: &mut TableMeta,
     anomalies: &mut Vec<Anomaly>,
 ) -> AbstractPgtable {
-    let mut out = AbstractPgtable::default();
+    let mut out = Walk {
+        meta: Some(meta),
+        ..Walk::default()
+    };
     match mem.read_pte(table, idx) {
         Ok(pte) => {
             let ia = ia_base | (idx as u64 * level_pages(level) * PAGE_SIZE);
-            interpret_desc(
-                mem, stage, table, level, idx, pte, ia, &mut out, meta, anomalies,
-            );
+            interpret_desc(mem, stage, table, level, idx, pte, ia, &mut out, anomalies);
         }
         Err(_) => anomalies.push(Anomaly::TableOutsideMemory {
             table: table.bits(),
         }),
     }
-    out
+    out.finish()
 }
 
-#[expect(clippy::too_many_arguments)]
 fn interpret_table(
     mem: &PhysMem,
     stage: Stage,
     table: PhysAddr,
     level: u8,
     va_partial: u64,
-    out: &mut AbstractPgtable,
-    meta: &mut TableMeta,
+    out: &mut Walk,
     anomalies: &mut Vec<Anomaly>,
 ) {
     out.table_pages.insert(table.pfn());
-    meta.insert(table.pfn(), (level, va_partial));
+    if let Some(meta) = out.meta.as_deref_mut() {
+        meta.insert(table.pfn(), (level, va_partial));
+    }
     let nr_pages = level_pages(level);
-    // Read the whole table page at once: the walk touches every
-    // descriptor anyway, and a single bulk access avoids paying the
-    // region check and page lookup 512 times per table.
-    let ptes = match mem.read_table(table) {
-        Ok(p) => p,
-        Err(_) => {
-            anomalies.push(Anomaly::TableOutsideMemory {
-                table: table.bits(),
-            });
-            return;
-        }
-    };
-    // Iterate over the current table entries.
+    // Read the whole table page at once into this frame's buffer: the
+    // walk touches every descriptor anyway, and a single bulk access
+    // avoids paying the region check and page lookup 512 times per table
+    // (and a heap buffer per node).
+    let mut ptes = [Pte(0); PTES_PER_TABLE as usize];
+    if mem.read_table_into(table, &mut ptes).is_err() {
+        anomalies.push(Anomaly::TableOutsideMemory {
+            table: table.bits(),
+        });
+        return;
+    }
+    // The previous descriptor, while it extended the tail maplet by
+    // exactly its own span and reported nothing.
+    let mut run: Option<Pte> = None;
+    // Iterate over the current table entries. All-zero entries denote
+    // nothing (most of a table's 512), so they are skipped undecoded.
     for (idx, &pte) in ptes.iter().enumerate() {
+        if pte.bits() == 0 {
+            run = None;
+            continue;
+        }
+        if run.is_some_and(|prev| continues_run(prev, pte, level)) {
+            // The same maplet one span on: extend the tail undecoded.
+            if let Some(tail) = out.maplets.last_mut() {
+                tail.nr_pages += nr_pages;
+                run = Some(pte);
+                continue;
+            }
+        }
         // Compute the input address mapped by this entry.
         let va_offset_in_region = idx as u64 * nr_pages * PAGE_SIZE;
         let va_partial_new = va_partial | va_offset_in_region;
-        interpret_desc(
+        let extended = interpret_desc(
             mem,
             stage,
             table,
@@ -196,15 +236,35 @@ fn interpret_table(
             pte,
             va_partial_new,
             out,
-            meta,
             anomalies,
         );
+        run = extended.then_some(pte);
     }
 }
 
+/// Whether descriptor `pte` denotes what `prev`, the descriptor before it
+/// in the same table at `level`, denotes, one span further on: the same
+/// annotation, or a leaf whose output address moved by exactly the span
+/// and whose other bits (kind, attributes, software state) are equal. The
+/// maplet `pte` decodes to then coalesces with `prev`'s, and any anomaly
+/// it would report `prev` would have reported too.
+fn continues_run(prev: Pte, pte: Pte, level: u8) -> bool {
+    if !prev.is_valid() {
+        return pte == prev;
+    }
+    let span = level_pages(level) * PAGE_SIZE;
+    // The second test rules out a carry out of the address field, which
+    // would change a non-address bit instead.
+    pte.bits().wrapping_sub(prev.bits()) == span
+        && pte.leaf_oa(level).bits() == prev.leaf_oa(level).bits().wrapping_add(span)
+}
+
 /// Interprets one descriptor `pte` (index `idx` of `table`, mapping from
-/// `ia`) into `out`. Always inlined: the full walk calls it 512 times
-/// per table node, and an out-of-line call there costs more than the
+/// `ia`) into `out`. Returns whether it extended the walk by exactly one
+/// maplet of its own span (an annotation or a leaf) and reported no
+/// anomaly — the start of a run [`continues_run`] may extend. Always
+/// inlined: the full walk calls it for every non-zero descriptor that
+/// starts a run, and an out-of-line call there costs more than the
 /// decode itself.
 #[inline(always)]
 #[expect(clippy::too_many_arguments)]
@@ -216,35 +276,31 @@ fn interpret_desc(
     idx: usize,
     pte: Pte,
     ia: u64,
-    out: &mut AbstractPgtable,
-    meta: &mut TableMeta,
+    out: &mut Walk,
     anomalies: &mut Vec<Anomaly>,
-) {
+) -> bool {
     let nr_pages = level_pages(level);
     match pte.kind(level) {
         EntryKind::Invalid => {
             // Invalid entries may carry a software owner annotation;
             // all-zero entries denote nothing and are skipped.
-            if pte.bits() != 0 {
-                let owner = annotation_owner(pte);
-                out.mapping.extend_coalesce(Maplet {
+            if pte.bits() == 0 {
+                return false;
+            }
+            let owner = annotation_owner(pte);
+            push_coalesced(
+                &mut out.maplets,
+                Maplet {
                     ia,
                     nr_pages,
                     target: MapletTarget::Annotated { owner },
-                });
-            }
+                },
+            );
+            true
         }
         EntryKind::Table => {
-            interpret_table(
-                mem,
-                stage,
-                pte.table_addr(),
-                level + 1,
-                ia,
-                out,
-                meta,
-                anomalies,
-            );
+            interpret_table(mem, stage, pte.table_addr(), level + 1, ia, out, anomalies);
+            false
         }
         EntryKind::Block | EntryKind::Page => {
             // Compute output address and attributes, then extend the
@@ -255,18 +311,22 @@ fn interpret_desc(
             if state.is_none() {
                 anomalies.push(Anomaly::IllegalPageState { ia });
             }
-            out.mapping.extend_coalesce(Maplet {
-                ia,
-                nr_pages,
-                target: MapletTarget::Mapped {
-                    oa: oa.bits(),
-                    attrs: AbsAttrs {
-                        perms: attrs.perms,
-                        memtype: attrs.memtype,
-                        state,
+            push_coalesced(
+                &mut out.maplets,
+                Maplet {
+                    ia,
+                    nr_pages,
+                    target: MapletTarget::Mapped {
+                        oa: oa.bits(),
+                        attrs: AbsAttrs {
+                            perms: attrs.perms,
+                            memtype: attrs.memtype,
+                            state,
+                        },
                     },
                 },
-            });
+            );
+            state.is_some()
         }
         EntryKind::Reserved => {
             anomalies.push(Anomaly::ReservedDescriptor {
@@ -274,6 +334,7 @@ fn interpret_desc(
                 index: idx,
                 level,
             });
+            false
         }
     }
 }
@@ -338,12 +399,12 @@ pub(crate) fn partition_host(
     globals: &GhostGlobals,
     anomalies: &mut Vec<Anomaly>,
 ) -> HostPartition {
-    let mut part = HostPartition::default();
+    let (mut annot, mut shared) = (Vec::new(), Vec::new());
     for m in maplets {
         match m.target {
             MapletTarget::Annotated { owner } => {
                 if owner != OwnerId::HOST {
-                    part.annot.extend_coalesce(m);
+                    push_coalesced(&mut annot, m);
                 }
                 // A zero-owner annotation never reaches here (zero PTEs are
                 // skipped during interpretation), but annotated-host would
@@ -351,12 +412,16 @@ pub(crate) fn partition_host(
             }
             MapletTarget::Mapped { oa, attrs } => match attrs.state {
                 Some(PageState::SharedOwned) | Some(PageState::SharedBorrowed) => {
-                    part.shared.extend_coalesce(m);
+                    push_coalesced(&mut shared, m);
                 }
                 _ => {
                     // The loose region: check legality page-range-wise.
                     if oa != m.ia {
                         anomalies.push(Anomaly::HostNotIdentity { ia: m.ia, oa });
+                    }
+                    if globals.is_ram_range(oa, m.nr_pages) {
+                        // Every page is RAM: nothing to check page by page.
+                        continue;
                     }
                     for i in 0..m.nr_pages {
                         let pa = oa + i * PAGE_SIZE;
@@ -379,7 +444,10 @@ pub(crate) fn partition_host(
             },
         }
     }
-    part
+    HostPartition {
+        annot: Mapping::from_canonical(annot),
+        shared: Mapping::from_canonical(shared),
+    }
 }
 
 /// Abstraction of one VM's lock-protected metadata, from the concrete
@@ -511,6 +579,88 @@ mod tests {
                 owner: OwnerId::HYP
             })
         );
+    }
+
+    #[test]
+    fn runs_extend_exactly_as_descriptor_by_descriptor_decoding() {
+        let mem = mem();
+        let root = PhysAddr::new(0x4400_0000);
+        let l1 = PhysAddr::new(0x4400_1000);
+        let l2 = PhysAddr::new(0x4400_2000);
+        let l3 = PhysAddr::new(0x4400_3000);
+        mem.write_pte(root, 0, Pte::table(l1)).unwrap();
+        mem.write_pte(l1, 1, Pte::table(l2)).unwrap();
+        mem.write_pte(l2, 0, Pte::table(l3)).unwrap();
+        let owned = Attrs::normal(Perms::RWX).with_sw(PageState::Owned.to_sw());
+        let illegal = Attrs::normal(Perms::RWX).with_sw(3);
+        let page = |oa: u64, attrs| Pte::leaf(Stage::Stage2, 3, PhysAddr::new(oa), attrs);
+        let mut l3_ptes = vec![
+            // A contiguous run, then a jump in the output address.
+            page(0x4200_0000, owned),
+            page(0x4200_1000, owned),
+            page(0x4200_2000, owned),
+            page(0x4200_9000, owned),
+            // A run whose state is illegal: one anomaly per page.
+            page(0x4201_0000, illegal),
+            page(0x4201_1000, illegal),
+            page(0x4201_2000, illegal),
+            // Annotations: a run, then another owner.
+            annotation_pte(OwnerId::HYP),
+            annotation_pte(OwnerId::HYP),
+            annotation_pte(OwnerId::guest(0)),
+            // Contiguous output across a hole is not contiguous input.
+            page(0x4202_0000, owned),
+            Pte(0),
+            page(0x4202_2000, owned),
+            // Different attributes break a run.
+            page(0x4202_3000, Attrs::normal(Perms::RW)),
+            // The largest output address: the next "+ 4 KiB" carries
+            // out of the address field and must not extend the run.
+            page(0xffff_ffff_f000, owned),
+        ];
+        l3_ptes.push(Pte(l3_ptes.last().unwrap().bits() + PAGE_SIZE));
+        for (i, &pte) in l3_ptes.iter().enumerate() {
+            mem.write_pte(l3, i, pte).unwrap();
+        }
+        // 2 MiB blocks at level 2: a run of three.
+        for (i, oa) in [(5, 0x4420_0000u64), (6, 0x4440_0000), (7, 0x4460_0000)] {
+            let block = Pte::leaf(Stage::Stage2, 2, PhysAddr::new(oa), owned);
+            mem.write_pte(l2, i, block).unwrap();
+        }
+        let mut anomalies = Vec::new();
+        let walked = interpret_pgtable(&mem, Stage::Stage2, root, &mut anomalies);
+
+        // Reference: every leaf and annotation decoded on its own, then
+        // inserted into a mapping (which coalesces).
+        let mut expected = Vec::new();
+        let mut expected_anomalies = Vec::new();
+        for (table, level, ia_base) in [(l3, 3, 1u64 << 30), (l2, 2, 1 << 30)] {
+            for idx in 0..512 {
+                let pte = mem.read_pte(table, idx).unwrap();
+                if pte.bits() == 0 || pte.kind(level) == EntryKind::Table {
+                    continue;
+                }
+                let one = interpret_descriptor(
+                    &mem,
+                    Stage::Stage2,
+                    table,
+                    level,
+                    ia_base,
+                    idx,
+                    &mut TableMeta::new(),
+                    &mut expected_anomalies,
+                );
+                expected.extend(one.mapping.iter().copied());
+            }
+        }
+        let expected: Mapping = expected.into_iter().collect();
+        assert_eq!(walked.mapping, expected);
+        assert_eq!(anomalies, expected_anomalies);
+        assert_eq!(anomalies.len(), 3, "{anomalies:?}");
+        // Runs coalesced: 3 pages, the jump, the illegal run, the HYP
+        // run, the guest page, two pages split by the hole, the RW page,
+        // the top page, the carried descriptor, and the block run.
+        assert_eq!(walked.mapping.len(), 11, "{:?}", walked.mapping);
     }
 
     #[test]

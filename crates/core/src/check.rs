@@ -6,11 +6,14 @@
 //! defined it must equal the recorded post, and everywhere else the
 //! recorded post must equal the pre.
 
-use pkvm_hyp::hooks::TransferEdge;
+use pkvm_hyp::hooks::{Component, TransferEdge};
 
 use crate::abstraction::Anomaly;
 use crate::diff::diff_states;
-use crate::state::{GhostKey, GhostState};
+use crate::state::{
+    GhostCpu, GhostHost, GhostKey, GhostLoadedVcpu, GhostPkvm, GhostState, GhostVcpu, GhostVm,
+    TablePages,
+};
 
 /// One detected disagreement between implementation and specification (or
 /// a broken runtime invariant).
@@ -395,6 +398,9 @@ pub struct CheckOutcome {
 /// structures and reference counting" (§3.1). The raw values stay in the
 /// recorded states (the separation check and the teardown spec *read*
 /// them); they just do not participate in equality.
+///
+/// The checks themselves compare in place (`parts_agree`); a normalised
+/// copy is only made to render the diff of an actual mismatch.
 pub fn normalize(state: &GhostState) -> GhostState {
     normalized(state.clone())
 }
@@ -404,15 +410,15 @@ pub fn normalize(state: &GhostState) -> GhostState {
 /// normalised whole.
 pub(crate) fn normalized(mut s: GhostState) -> GhostState {
     if let Some(h) = s.host.as_mut() {
-        h.table_pages.clear();
+        h.table_pages = TablePages::default();
     }
     if let Some(p) = s.pkvm.as_mut() {
-        p.pgt.table_pages.clear();
+        p.pgt.table_pages = TablePages::default();
     }
     for vm in s.vms.values_mut() {
-        vm.pgt.table_pages.clear();
+        vm.pgt.table_pages = TablePages::default();
         for v in vm.vcpus.iter_mut() {
-            if let crate::state::GhostVcpu::Present { memcache, .. } = v {
+            if let GhostVcpu::Present { memcache, .. } = v {
                 memcache.clear();
             }
         }
@@ -425,11 +431,100 @@ pub(crate) fn normalized(mut s: GhostState) -> GhostState {
     s
 }
 
+/// Whether `a` and `b` agree on the part `key` once normalised — exactly
+/// `normalized(a.part(key)) == normalized(b.part(key))`, but compared in
+/// place, without copying either part.
+pub(crate) fn parts_agree(a: &GhostState, b: &GhostState, key: GhostKey) -> bool {
+    fn both<T>(a: Option<&T>, b: Option<&T>, eq: impl Fn(&T, &T) -> bool) -> bool {
+        match (a, b) {
+            (Some(a), Some(b)) => eq(a, b),
+            (a, b) => a.is_none() && b.is_none(),
+        }
+    }
+    match key {
+        GhostKey::Comp(Component::Host) => both(a.host.as_ref(), b.host.as_ref(), host_agrees),
+        GhostKey::Comp(Component::Hyp) => both(a.pkvm.as_ref(), b.pkvm.as_ref(), pkvm_agrees),
+        GhostKey::Comp(Component::VmTable) => a.vm_table == b.vm_table,
+        GhostKey::Comp(Component::Vm(h)) => both(a.vms.get(&h), b.vms.get(&h), vm_agrees),
+        GhostKey::Locals(cpu) => both(a.locals.get(&cpu), b.locals.get(&cpu), |a, b| {
+            cpu_agrees(a, b)
+        }),
+    }
+}
+
+/// Host components equal once normalised (the footprint ignored).
+pub(crate) fn host_agrees(a: &GhostHost, b: &GhostHost) -> bool {
+    let GhostHost {
+        annot,
+        shared,
+        table_pages: _,
+    } = a;
+    *annot == b.annot && *shared == b.shared
+}
+
+/// pKVM components equal once normalised (the footprint ignored).
+pub(crate) fn pkvm_agrees(a: &GhostPkvm, b: &GhostPkvm) -> bool {
+    a.pgt.mapping == b.pgt.mapping
+}
+
+/// VM components equal once normalised (the footprint and the memcaches
+/// of present vCPUs ignored).
+pub(crate) fn vm_agrees(a: &GhostVm, b: &GhostVm) -> bool {
+    let GhostVm {
+        handle,
+        slot,
+        protected,
+        pgt,
+        donated,
+        firmware,
+        vcpus,
+    } = a;
+    *handle == b.handle
+        && *slot == b.slot
+        && *protected == b.protected
+        && pgt.mapping == b.pgt.mapping
+        && *donated == b.donated
+        && *firmware == b.firmware
+        && vcpus.len() == b.vcpus.len()
+        && vcpus.iter().zip(&b.vcpus).all(|pair| match pair {
+            (GhostVcpu::Uninit, GhostVcpu::Uninit) => true,
+            (GhostVcpu::Present { regs: x, .. }, GhostVcpu::Present { regs: y, .. }) => x == y,
+            (GhostVcpu::Loaded { on: x }, GhostVcpu::Loaded { on: y }) => x == y,
+            _ => false,
+        })
+}
+
+/// Per-CPU locals equal once normalised (the loaded vCPU's memcache
+/// ignored).
+fn cpu_agrees(a: &GhostCpu, b: &GhostCpu) -> bool {
+    let GhostCpu { regs, loaded } = a;
+    *regs == b.regs
+        && match (loaded, &b.loaded) {
+            (None, None) => true,
+            (Some(x), Some(y)) => {
+                let GhostLoadedVcpu {
+                    handle,
+                    idx,
+                    regs,
+                    memcache: _,
+                } = x;
+                *handle == y.handle && *idx == y.idx && *regs == y.regs
+            }
+            _ => false,
+        }
+}
+
+/// The diff of part `key` between `a` and `b`, rendered over normalised
+/// copies exactly as the checks report it.
+fn part_diff(a: &GhostState, b: &GhostState, key: GhostKey) -> String {
+    diff_states(&normalized(a.part(key)), &normalized(b.part(key)))
+}
+
 /// The ternary check for one trap: `pre` and `recorded` come from the
 /// recording machinery, `computed` from the specification function.
 /// Components are visited in first-seen order across `[pre, recorded,
-/// computed]`, each compared on its own normalised part so the diff
-/// renderer can be reused untouched.
+/// computed]`, each compared on its own normalised part; only a mismatch
+/// copies the parts, to render their diff.
 pub fn check_trap(
     trap: &str,
     pre: &GhostState,
@@ -449,15 +544,13 @@ pub fn check_trap(
     for key in keys {
         match (computed.contains(key), recorded.contains(key)) {
             (true, true) => {
-                let c = normalized(computed.part(key));
-                let r = normalized(recorded.part(key));
-                if c != r {
+                if !parts_agree(computed, recorded, key) {
                     out.violations.push(Violation::SpecMismatch {
                         seq: None,
                         trap: trap.into(),
                         component: key.to_string(),
                         uniq: None,
-                        diff: diff_states(&c, &r),
+                        diff: part_diff(computed, recorded, key),
                     });
                 }
             }
@@ -469,18 +562,14 @@ pub fn check_trap(
             }
             (false, true) => {
                 // The spec left it alone: it must not have changed.
-                if pre.contains(key) {
-                    let p = normalized(pre.part(key));
-                    let r = normalized(recorded.part(key));
-                    if p != r {
-                        out.violations.push(Violation::UnexpectedChange {
-                            seq: None,
-                            trap: trap.into(),
-                            component: key.to_string(),
-                            uniq: None,
-                            diff: diff_states(&p, &r),
-                        });
-                    }
+                if pre.contains(key) && !parts_agree(pre, recorded, key) {
+                    out.violations.push(Violation::UnexpectedChange {
+                        seq: None,
+                        trap: trap.into(),
+                        component: key.to_string(),
+                        uniq: None,
+                        diff: part_diff(pre, recorded, key),
+                    });
                 }
                 // A post-only recording with no pre cannot happen through
                 // the paired lock helpers; nothing to check if it does.
@@ -496,13 +585,12 @@ pub fn check_trap(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::maplet::{AbsAttrs, Maplet, MapletTarget};
-    use crate::state::{GhostGlobals, GhostHost, GhostVm};
+    use crate::state::GhostGlobals;
     use pkvm_aarch64::attrs::{MemType, Perms};
-    use pkvm_hyp::hooks::Component;
-    use pkvm_hyp::owner::PageState;
+    use pkvm_hyp::owner::{OwnerId, PageState};
 
     fn host_state(shared_pages: &[u64]) -> GhostState {
         let mut s = GhostState::blank(&GhostGlobals::default());
@@ -706,6 +794,233 @@ mod tests {
         }
         for name in ["vm[bogus]", "vm[", "locals[x]", "Host", "wat"] {
             assert_eq!(GhostKey::parse(name), None, "{name}");
+        }
+    }
+
+    fn mapped(ia: u64, oa: u64) -> Maplet {
+        Maplet {
+            ia,
+            nr_pages: 1,
+            target: MapletTarget::Mapped {
+                oa,
+                attrs: AbsAttrs {
+                    perms: Perms::RW,
+                    memtype: MemType::Normal,
+                    state: Some(PageState::Owned),
+                },
+            },
+        }
+    }
+
+    fn footprint(pfns: &[u64]) -> TablePages {
+        pfns.iter()
+            .copied()
+            .collect::<std::collections::BTreeSet<_>>()
+            .into()
+    }
+
+    /// A state holding every kind of part, each with a footprint or
+    /// memcache that normalisation erases.
+    pub(crate) fn full_state() -> GhostState {
+        let mut s = host_state(&[0x4000_0000]);
+        let host = s.host.as_mut().unwrap();
+        host.annot.insert(Maplet {
+            ia: 0x4400_0000,
+            nr_pages: 4,
+            target: MapletTarget::Annotated {
+                owner: OwnerId::HYP,
+            },
+        });
+        host.table_pages = footprint(&[0x44001, 0x44002]);
+        let mut pkvm = GhostPkvm::default();
+        pkvm.pgt
+            .mapping
+            .insert(mapped(0x8000_4400_0000, 0x4400_0000));
+        pkvm.pgt.table_pages = footprint(&[0x44010]);
+        s.pkvm = Some(pkvm);
+        s.vm_table = Some(vec![(0x1000, 0)]);
+        let mut vm = vm(0x1000, 0);
+        vm.pgt.mapping.insert(mapped(0x10_0000, 0x4080_0000));
+        vm.pgt.table_pages = footprint(&[0x44020]);
+        vm.donated = vec![0x44030];
+        vm.firmware = vec![0x44040];
+        vm.vcpus = vec![
+            GhostVcpu::Uninit,
+            GhostVcpu::Present {
+                regs: Default::default(),
+                memcache: vec![0x44050],
+            },
+            GhostVcpu::Loaded { on: 1 },
+        ];
+        s.vms.insert(0x1000, vm);
+        s.write_gpr(1, 0, 7);
+        s.locals.get_mut(&1).unwrap().loaded = Some(GhostLoadedVcpu {
+            handle: 0x1000,
+            idx: 2,
+            regs: Default::default(),
+            memcache: vec![0x44060],
+        });
+        s
+    }
+
+    /// One-field edits of [`full_state`]: what changed, the part it
+    /// lives in, and whether the part still agrees once normalised.
+    #[expect(clippy::type_complexity)]
+    pub(crate) fn one_field_edits() -> Vec<(&'static str, GhostKey, bool, fn(&mut GhostState))> {
+        const HOST: GhostKey = GhostKey::Comp(Component::Host);
+        const PKVM: GhostKey = GhostKey::Comp(Component::Hyp);
+        const TABLE: GhostKey = GhostKey::Comp(Component::VmTable);
+        const VM: GhostKey = GhostKey::Comp(Component::Vm(0x1000));
+        const LOCALS: GhostKey = GhostKey::Locals(1);
+        fn host(s: &mut GhostState) -> &mut GhostHost {
+            s.host.as_mut().unwrap()
+        }
+        fn vm(s: &mut GhostState) -> &mut GhostVm {
+            s.vms.get_mut(&0x1000).unwrap()
+        }
+        fn loaded(s: &mut GhostState) -> &mut GhostLoadedVcpu {
+            s.locals.get_mut(&1).unwrap().loaded.as_mut().unwrap()
+        }
+        vec![
+            ("host footprint", HOST, true, |s| {
+                host(s).table_pages.make_mut().insert(0x44003);
+            }),
+            ("host annot", HOST, false, |s| {
+                host(s).annot.remove(0x4400_0000, 1)
+            }),
+            ("host shared", HOST, false, |s| {
+                host(s).shared.insert(mapped(0x4000_1000, 0x4000_1000))
+            }),
+            ("pkvm footprint", PKVM, true, |s| {
+                s.pkvm.as_mut().unwrap().pgt.table_pages = TablePages::default()
+            }),
+            ("pkvm mapping", PKVM, false, |s| {
+                s.pkvm.as_mut().unwrap().pgt.mapping = Default::default()
+            }),
+            ("vm table", TABLE, false, |s| {
+                s.vm_table.as_mut().unwrap().push((0x2000, 1))
+            }),
+            ("vm footprint", VM, true, |s| {
+                vm(s).pgt.table_pages.make_mut().insert(0x44021);
+            }),
+            ("vcpu memcache", VM, true, |s| match &mut vm(s).vcpus[1] {
+                GhostVcpu::Present { memcache, .. } => memcache.push(0x44051),
+                _ => unreachable!(),
+            }),
+            ("vm handle", VM, false, |s| vm(s).handle = 0x2000),
+            ("vm slot", VM, false, |s| vm(s).slot = 3),
+            ("vm protected", VM, false, |s| vm(s).protected = true),
+            ("vm mapping", VM, false, |s| {
+                vm(s).pgt.mapping.remove(0x10_0000, 1)
+            }),
+            ("vm donated", VM, false, |s| vm(s).donated.push(0x44031)),
+            ("vm firmware", VM, false, |s| vm(s).firmware.clear()),
+            ("vcpu regs", VM, false, |s| match &mut vm(s).vcpus[1] {
+                GhostVcpu::Present { regs, .. } => regs.set(0, 1),
+                _ => unreachable!(),
+            }),
+            ("vcpu loaded on", VM, false, |s| {
+                vm(s).vcpus[2] = GhostVcpu::Loaded { on: 0 }
+            }),
+            ("vcpu state", VM, false, |s| {
+                vm(s).vcpus[0] = GhostVcpu::Loaded { on: 0 }
+            }),
+            ("vcpu count", VM, false, |s| {
+                vm(s).vcpus.push(GhostVcpu::Uninit)
+            }),
+            ("loaded memcache", LOCALS, true, |s| {
+                loaded(s).memcache.clear()
+            }),
+            ("locals regs", LOCALS, false, |s| s.write_gpr(1, 0, 8)),
+            ("loaded handle", LOCALS, false, |s| {
+                loaded(s).handle = 0x2000
+            }),
+            ("loaded idx", LOCALS, false, |s| loaded(s).idx = 0),
+            ("loaded regs", LOCALS, false, |s| loaded(s).regs.set(3, 3)),
+            ("unloaded", LOCALS, false, |s| {
+                s.locals.get_mut(&1).unwrap().loaded = None
+            }),
+        ]
+    }
+
+    /// The ternary check as it was before in-place comparison: every part
+    /// compared (and diffed) as normalised copies.
+    fn copying_check_trap(
+        trap: &str,
+        pre: &GhostState,
+        recorded: &GhostState,
+        computed: &GhostState,
+    ) -> Vec<Violation> {
+        let mut keys: Vec<GhostKey> = Vec::new();
+        for key in [pre, recorded, computed]
+            .into_iter()
+            .flat_map(GhostState::keys)
+        {
+            if !keys.contains(&key) {
+                keys.push(key);
+            }
+        }
+        let mut out = Vec::new();
+        for key in keys {
+            let r = normalized(recorded.part(key));
+            if computed.contains(key) && recorded.contains(key) {
+                let c = normalized(computed.part(key));
+                if c != r {
+                    out.push(Violation::SpecMismatch {
+                        seq: None,
+                        trap: trap.into(),
+                        component: key.to_string(),
+                        uniq: None,
+                        diff: diff_states(&c, &r),
+                    });
+                }
+            } else if !computed.contains(key) && recorded.contains(key) && pre.contains(key) {
+                let p = normalized(pre.part(key));
+                if p != r {
+                    out.push(Violation::UnexpectedChange {
+                        seq: None,
+                        trap: trap.into(),
+                        component: key.to_string(),
+                        uniq: None,
+                        diff: diff_states(&p, &r),
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn in_place_comparison_ignores_exactly_what_normalisation_erases() {
+        let base = full_state();
+        let blank = GhostState::blank(&GhostGlobals::default());
+        let keys: Vec<GhostKey> = base.keys().collect();
+        assert_eq!(keys.len(), 5, "one part of every kind");
+        for (what, key, agrees, edit) in one_field_edits() {
+            let mut edited = base.clone();
+            edit(&mut edited);
+            assert_ne!(edited, base, "{what}: the edit changes the raw state");
+            for &k in &keys {
+                let expect = k != key || agrees;
+                assert_eq!(parts_agree(&base, &edited, k), expect, "{what} in {k}");
+                assert_eq!(parts_agree(&edited, &base, k), expect, "{what} in {k}");
+                assert_eq!(
+                    normalized(base.part(k)) == normalized(edited.part(k)),
+                    expect,
+                    "{what}: the copying comparison disagrees in {k}"
+                );
+            }
+            // Spec mismatch (computed vs recorded) and unexpected change
+            // (pre vs recorded, spec silent): the same reports, down to
+            // the rendered diff, as the copying check.
+            for (pre, computed) in [(&base, &base), (&base, &blank)] {
+                let now = check_trap("t", pre, &edited, computed);
+                let then = copying_check_trap("t", pre, &edited, computed);
+                assert_eq!(now.violations, then, "{what}");
+                let lines = |vs: &[Violation]| vs.iter().map(|v| v.to_string()).collect::<Vec<_>>();
+                assert_eq!(lines(&now.violations), lines(&then), "{what}");
+                assert_eq!(now.violations.len(), usize::from(!agrees), "{what}");
+            }
         }
     }
 }

@@ -103,14 +103,14 @@ pub(crate) enum CheckMsg {
         /// Stream seq of the `TrapEnter` event (the trap's identity).
         seq: u64,
         call: GhostCallData,
-        cpu_state: GhostCpu,
+        cpu_state: Box<GhostCpu>,
     },
     /// `trap_exit` ran: finish the recording and run the ternary check.
     TrapExit {
         cpu: usize,
         trap: Option<u64>,
         name: String,
-        cpu_state: GhostCpu,
+        cpu_state: Box<GhostCpu>,
         regs_post: GprFile,
         /// The per-trap budget ran out mid-trap: skip the check.
         degraded: bool,

@@ -15,8 +15,9 @@
 
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Once;
 
 use pkvm_aarch64::sync::Mutex;
@@ -73,8 +74,13 @@ pub fn contain<R>(f: impl FnOnce() -> R) -> Result<R, String> {
 /// Per-key failure accounting with time-boxed quarantine.
 ///
 /// Keys are free-form strings — component names (`"host"`, `"vm[3]"`) and
-/// per-trap spec steps (`"spec:host_share_hyp"`). Time is measured in
-/// traps: the oracle ticks the clock once per `trap_enter`.
+/// per-trap spec steps (`"spec:host_share_hyp"`) — given as anything that
+/// renders to one. Time is measured in traps: the oracle ticks the clock
+/// once per `trap_enter`.
+///
+/// Until the first failure is recorded every key is healthy, so the
+/// lookups answer without rendering the key or taking the lock: a clean
+/// run pays one atomic load per hook.
 #[derive(Debug)]
 pub struct Quarantine {
     /// Consecutive failures before a key is quarantined.
@@ -82,6 +88,10 @@ pub struct Quarantine {
     /// How many trap ticks a quarantined key sits out.
     duration: u64,
     tick: AtomicU64,
+    /// Set (for good) by the first recorded failure, under `inner`'s lock
+    /// (Release); a lookup that reads it set (Acquire) then takes that
+    /// lock, which orders the map itself.
+    struck: AtomicBool,
     inner: Mutex<HashMap<String, Health>>,
 }
 
@@ -110,6 +120,7 @@ impl Quarantine {
             threshold: threshold.max(1),
             duration: duration.max(1),
             tick: AtomicU64::new(0),
+            struck: AtomicBool::new(false),
             inner: Mutex::new(HashMap::new()),
         }
     }
@@ -126,10 +137,13 @@ impl Quarantine {
 
     /// Looks up the key's disposition, transitioning `Skip -> Recover`
     /// exactly once when its quarantine expires.
-    pub fn disposition(&self, key: &str) -> Disposition {
+    pub fn disposition(&self, key: impl fmt::Display) -> Disposition {
+        if !self.struck.load(Ordering::Acquire) {
+            return Disposition::Process;
+        }
         let now = self.tick.load(Ordering::Relaxed);
         let mut inner = self.inner.lock();
-        let Some(h) = inner.get_mut(key) else {
+        let Some(h) = inner.get_mut(key.to_string().as_str()) else {
             return Disposition::Process;
         };
         match h.quarantined_until {
@@ -146,9 +160,10 @@ impl Quarantine {
 
     /// Records a contained failure for `key`. Returns `true` when this
     /// failure pushed the key over the threshold into quarantine.
-    pub fn record_failure(&self, key: &str) -> bool {
+    pub fn record_failure(&self, key: impl fmt::Display) -> bool {
         let now = self.tick.load(Ordering::Relaxed);
         let mut inner = self.inner.lock();
+        self.struck.store(true, Ordering::Release);
         let h = inner.entry(key.to_string()).or_default();
         if h.quarantined_until.is_some() {
             return false;
@@ -163,9 +178,12 @@ impl Quarantine {
     }
 
     /// Records a successful pass for `key`, resetting its failure streak.
-    pub fn record_success(&self, key: &str) {
+    pub fn record_success(&self, key: impl fmt::Display) {
+        if !self.struck.load(Ordering::Acquire) {
+            return;
+        }
         let mut inner = self.inner.lock();
-        if let Some(h) = inner.get_mut(key) {
+        if let Some(h) = inner.get_mut(key.to_string().as_str()) {
             if h.quarantined_until.is_none() {
                 h.consecutive_failures = 0;
             }
@@ -213,6 +231,23 @@ mod tests {
         // Recover is delivered once; afterwards the key is healthy again.
         assert_eq!(q.disposition("host"), Disposition::Process);
         assert_eq!(q.active(), 0);
+    }
+
+    #[test]
+    fn a_quarantine_without_failures_processes_everything_and_keeps_nothing() {
+        let q = Quarantine::new(1, 2);
+        for key in ["host", "vm[1]", "spec:host_share_hyp"] {
+            assert_eq!(q.disposition(key), Disposition::Process);
+            q.record_success(key);
+            q.tick();
+        }
+        assert_eq!(q.active(), 0);
+        assert!(q.inner.lock().is_empty());
+        // The first failure switches the keyed bookkeeping on.
+        assert!(q.record_failure("host"));
+        assert_eq!(q.disposition("host"), Disposition::Skip);
+        assert_eq!(q.disposition("pkvm"), Disposition::Process);
+        assert_eq!(q.inner.lock().len(), 1);
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! the campaign's driver-op schedule, the oracle's trap trace and violation
 //! log, chaos injections, lock events, `READ_ONCE` values — now flows
 //! through a single [`EventSink`] into one [`EventStream`]. Each event gets
-//! a global sequence number (assigned under one mutex, so sequence order
-//! *is* timeline order), a *lane* (the worker or CPU that produced it), an
-//! optional link to the sequence number of the trap it happened inside, and
-//! a nanosecond timestamp relative to stream creation.
+//! a global sequence number (a retained one assigned under one mutex, so
+//! sequence order *is* timeline order), a *lane* (the worker or CPU that
+//! produced it), an optional link to the sequence number of the trap it
+//! happened inside, and a nanosecond timestamp relative to stream
+//! creation.
 //!
 //! The stream doubles as the replay schedule (its driver-plane events are
 //! exactly what [`replay`](../../pkvm_harness/campaign/fn.replay.html)
@@ -26,7 +27,9 @@
 //! ids either way — but only the bounded side indexes are retained: the
 //! violation log (capped, drops signalled to the caller) and the last
 //! [`TRACE_CAP`] check outcomes. That preserves the memory behaviour of
-//! long sweeps that run with trace recording off.
+//! long sweeps that run with trace recording off. It also makes a
+//! non-retained primary event cheap: its seq comes from an atomic, with
+//! neither the mutex nor a clock read.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -396,7 +399,6 @@ pub trait EventSink: Send + Sync {
 
 #[derive(Default)]
 struct StreamInner {
-    next_seq: u64,
     derived_next: u64,
     events: Vec<EventRecord>,
     violations: Vec<Violation>,
@@ -409,6 +411,10 @@ pub struct EventStream {
     record_all: bool,
     violation_cap: usize,
     nr_violations: AtomicU64,
+    /// The next primary seq. Retained events draw it under `inner`'s
+    /// lock, so the timeline stays in seq order; non-retained ones draw
+    /// it lock-free. Relaxed: the counter publishes no other data.
+    next_seq: AtomicU64,
     inner: Mutex<StreamInner>,
 }
 
@@ -427,6 +433,7 @@ impl EventStream {
             record_all,
             violation_cap: violation_cap.max(1),
             nr_violations: AtomicU64::new(0),
+            next_seq: AtomicU64::new(0),
             inner: Mutex::new(StreamInner::default()),
         }
     }
@@ -437,15 +444,18 @@ impl EventStream {
     }
 
     fn append(&self, lane: u32, trap: Option<u64>, mut event: Event) -> (u64, bool) {
+        let derived = matches!(event, Event::Check { .. } | Event::Violation(_));
+        if !derived && !self.record_all {
+            // Not retained and feeding no index: only its seq is needed.
+            return (self.next_seq.fetch_add(1, Ordering::Relaxed), true);
+        }
         let mut g = self.inner.lock();
-        let seq = if matches!(event, Event::Check { .. } | Event::Violation(_)) {
+        let seq = if derived {
             let s = DERIVED_SEQ_BASE + g.derived_next;
             g.derived_next += 1;
             s
         } else {
-            let s = g.next_seq;
-            g.next_seq += 1;
-            s
+            self.next_seq.fetch_add(1, Ordering::Relaxed)
         };
         let t_ns = self.started.elapsed().as_nanos() as u64;
         let mut retain = self.record_all;
@@ -1120,6 +1130,66 @@ mod tests {
         // consumed a primary sequence number.
         assert!(s.is_empty());
         assert_eq!(s.emit(0, None, Event::TrapEnter { cpu: 0 }), 1);
+    }
+
+    /// Emits one fixed sequence of driver, hook, `Check` and `Violation`
+    /// events and returns every seq it was given, plus the violations'
+    /// stamped seqs.
+    fn numbering(s: &EventStream) -> (Vec<u64>, Vec<Option<u64>>) {
+        let check = |name: &str| Event::Check {
+            cpu: 0,
+            name: name.into(),
+            outcome: TrapOutcome::Clean,
+        };
+        let panic = |reason: &str| Violation::HypPanic {
+            seq: None,
+            reason: reason.into(),
+        };
+        let mut seqs = Vec::new();
+        seqs.push(s.emit(
+            0,
+            None,
+            Event::Hvc {
+                cpu: 0,
+                func: 1,
+                args: vec![2],
+            },
+        ));
+        let trap = s.emit(0, None, Event::TrapEnter { cpu: 0 });
+        seqs.push(trap);
+        seqs.push(s.emit(
+            0,
+            Some(trap),
+            Event::LockAcquired {
+                cpu: 0,
+                comp: Component::Host,
+            },
+        ));
+        seqs.push(s.emit(0, Some(trap), Event::Violation(panic("a"))));
+        seqs.push(s.emit(0, Some(trap), Event::Dsb { cpu: 0 }));
+        seqs.push(s.emit(0, Some(trap), check("t")));
+        s.violation(1, None, panic("b"));
+        seqs.push(s.emit(1, None, Event::WriteMem { pa: 8, value: 9 }));
+        seqs.push(s.emit(1, None, check("u")));
+        let stamped = s.violations().iter().map(Violation::event_seq).collect();
+        (seqs, stamped)
+    }
+
+    #[test]
+    fn numbering_is_the_same_with_and_without_retention() {
+        let retained = EventStream::new(true, 8);
+        let dropped = EventStream::new(false, 8);
+        let (seqs, stamped) = numbering(&retained);
+        assert_eq!((seqs.clone(), stamped.clone()), numbering(&dropped));
+        const D: u64 = DERIVED_SEQ_BASE;
+        assert_eq!(seqs, [0, 1, 2, D, 3, D + 1, 4, D + 3]);
+        assert_eq!(stamped, [Some(D), Some(D + 2)]);
+        // Retained: every event, in seq order within each space.
+        let timeline: Vec<u64> = retained.take_events().iter().map(|r| r.seq).collect();
+        assert_eq!(timeline, [0, 1, 2, D, 3, D + 1, D + 2, 4, D + 3]);
+        // Not retained: only the bounded indexes are kept.
+        assert!(dropped.is_empty());
+        assert_eq!(dropped.trap_records().len(), 2);
     }
 
     #[test]

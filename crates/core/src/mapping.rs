@@ -64,6 +64,21 @@ impl Mapping {
         map
     }
 
+    /// Wraps maplets that are already canonical (sorted, non-overlapping,
+    /// maximally coalesced, none empty) without re-checking them outside
+    /// debug builds — the one allocation of a walk that built its maplets
+    /// in order.
+    pub(crate) fn from_canonical(maplets: Vec<Maplet>) -> Mapping {
+        if maplets.is_empty() {
+            return Mapping::new();
+        }
+        let m = Mapping {
+            maplets: Arc::new(maplets),
+        };
+        debug_assert_eq!(m.check_canonical(), Ok(()));
+        m
+    }
+
     /// The maplets in ascending input-address order.
     pub fn iter(&self) -> impl Iterator<Item = &Maplet> {
         self.maplets.iter()
@@ -178,29 +193,6 @@ impl Mapping {
         }
         self.insert(maplet);
         Ok(())
-    }
-
-    /// Appends a maplet known to start at or after the current maximum
-    /// address, coalescing with the tail when possible — the fast path of
-    /// the abstraction function's in-order traversal
-    /// (`extend_mapping_coalesce` in the paper's Fig. 2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `maplet` is not beyond the current maximum.
-    pub fn extend_coalesce(&mut self, maplet: Maplet) {
-        if maplet.nr_pages == 0 {
-            return;
-        }
-        let maplets = Arc::make_mut(&mut self.maplets);
-        if let Some(last) = maplets.last_mut() {
-            assert!(maplet.ia >= last.end(), "extend_coalesce out of order");
-            if last.can_coalesce_with(&maplet) {
-                last.nr_pages += maplet.nr_pages;
-                return;
-            }
-        }
-        maplets.push(maplet);
     }
 
     /// Replaces the range `[ia, ia + nr_pages)` wholesale with
@@ -393,6 +385,31 @@ impl Mapping {
     }
 }
 
+/// Appends a maplet known to start at or after the current maximum
+/// address of `maplets`, coalescing with the tail when possible — the
+/// fast path of the abstraction function's in-order traversal
+/// (`extend_mapping_coalesce` in the paper's Fig. 2). A builder collects
+/// its maplets in a plain vector this way and wraps the vector once
+/// ([`Mapping::from_canonical`]), instead of paying the copy-on-write
+/// check per maplet.
+///
+/// # Panics
+///
+/// Panics if `maplet` is not beyond the current maximum.
+pub(crate) fn push_coalesced(maplets: &mut Vec<Maplet>, maplet: Maplet) {
+    if maplet.nr_pages == 0 {
+        return;
+    }
+    if let Some(last) = maplets.last_mut() {
+        assert!(maplet.ia >= last.end(), "extend_coalesce out of order");
+        if last.can_coalesce_with(&maplet) {
+            last.nr_pages += maplet.nr_pages;
+            return;
+        }
+    }
+    maplets.push(maplet);
+}
+
 impl FromIterator<Maplet> for Mapping {
     fn from_iter<T: IntoIterator<Item = Maplet>>(iter: T) -> Mapping {
         let mut m = Mapping::new();
@@ -527,12 +544,17 @@ mod tests {
 
     #[test]
     fn extend_coalesce_fast_path() {
-        let mut m = Mapping::new();
-        m.extend_coalesce(mapped(0x1000, 1, 0x8000));
-        m.extend_coalesce(mapped(0x2000, 1, 0x9000));
-        m.extend_coalesce(mapped(0x4000, 1, 0xb000));
+        let mut v = Vec::new();
+        push_coalesced(&mut v, mapped(0x1000, 1, 0x8000));
+        push_coalesced(&mut v, mapped(0x2000, 1, 0x9000));
+        push_coalesced(&mut v, mapped(0x4000, 1, 0xb000));
+        let m = Mapping::from_canonical(v);
         assert_eq!(m.len(), 2);
         m.check_canonical().unwrap();
+        assert!(Arc::ptr_eq(
+            &Mapping::from_canonical(Vec::new()).maplets,
+            &Mapping::new().maplets
+        ));
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! in the hook or on a pipelined checker thread.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 
@@ -44,7 +45,9 @@ use crate::abstraction::{
     partition_host, Anomaly, HostPartition,
 };
 use crate::calldata::GhostCallData;
-use crate::check::{check_trap, normalize, normalized, Violation};
+use crate::check::{
+    check_trap, host_agrees, normalize, normalized, pkvm_agrees, vm_agrees, Violation,
+};
 use crate::checker::{
     checker_loop, CheckMode, CheckMsg, Checker, Pipeline, StatsSnapshot, Verdict,
 };
@@ -346,12 +349,14 @@ struct CpuRecord {
     pre: GhostState,
     post: GhostState,
     call: Option<GhostCallData>,
-    /// Shared-copy component stamps at trap entry: deferred seeding only
-    /// lands if the component has not moved since (otherwise a concurrent
-    /// trap's legitimate update would be overwritten with a stale
-    /// expectation, and the next acquisition would report a spurious
-    /// non-interference violation).
-    versions_at_entry: HashMap<Component, u64>,
+    /// The shared copy's stamp clock at trap entry: deferred seeding only
+    /// lands if the component has not been stamped since (otherwise a
+    /// concurrent trap's legitimate update would be overwritten with a
+    /// stale expectation, and the next acquisition would report a
+    /// spurious non-interference violation). Stamps only ever increase and
+    /// are never removed, so "stamped since entry" is exactly "stamp
+    /// above this tick".
+    tick_at_entry: u64,
     /// Shared-copy stamp left by this trap's most recent release of each
     /// component, so a re-acquisition can tell whether a *foreign* trap
     /// updated the component between two of this trap's own critical
@@ -655,7 +660,7 @@ impl Oracle {
                         pre: GhostState::blank(&globals),
                         post: GhostState::blank(&globals),
                         call: None,
-                        versions_at_entry: HashMap::new(),
+                        tick_at_entry: 0,
                         last_release: HashMap::new(),
                         interleaved: HashSet::new(),
                         trap_seq: None,
@@ -780,20 +785,26 @@ impl Oracle {
             cvar.notify_all();
             return;
         }
-        let key = match &msg {
-            CheckMsg::TrapEnter { .. } => "trap_enter".to_string(),
-            CheckMsg::TrapExit { .. } => "trap_exit".to_string(),
+        // The quarantine key: a lock event's component, else the step.
+        // Rendered only if the apply panics.
+        let comp = match &msg {
             CheckMsg::LockAcquired { comp, .. } | CheckMsg::LockReleasing { comp, .. } => {
-                GhostKey::Comp(*comp).to_string()
+                Some(*comp)
             }
-            CheckMsg::ReadOnce { .. } => "read_once".to_string(),
-            _ => "checker".to_string(),
+            _ => None,
+        };
+        let step = match &msg {
+            CheckMsg::TrapEnter { .. } => "trap_enter",
+            CheckMsg::TrapExit { .. } => "trap_exit",
+            CheckMsg::ReadOnce { .. } => "read_once",
+            _ => "checker",
         };
         let res = contain(|| self.apply_msg(msg));
         if let Some(p) = &self.pipeline {
             p.note_applied();
         }
         if let Err(payload) = res {
+            let key = comp.map_or_else(|| step.to_string(), |c| GhostKey::Comp(c).to_string());
             self.counters
                 .contained_panics
                 .fetch_add(1, Ordering::Relaxed);
@@ -913,15 +924,16 @@ impl Oracle {
     /// `key`'s quarantine record, never an unwind into the hypervisor.
     /// The report is routed through the pipeline ([`CheckMsg::Report`])
     /// like every front-originated violation, so the derived sequence
-    /// numbering is identical in both check modes.
-    fn guarded(&self, key: &str, f: impl FnOnce()) {
+    /// numbering is identical in both check modes. `key` is rendered only
+    /// once the quarantine has something to look up.
+    fn guarded(&self, key: impl fmt::Display, f: impl FnOnce()) {
         match contain(f) {
-            Ok(()) => self.quarantine.record_success(key),
+            Ok(()) => self.quarantine.record_success(&key),
             Err(payload) => {
                 self.counters
                     .contained_panics
                     .fetch_add(1, Ordering::Relaxed);
-                self.quarantine.record_failure(key);
+                self.quarantine.record_failure(&key);
                 self.dispatch(CheckMsg::Report {
                     cpu: 0,
                     trap: None,
@@ -1107,16 +1119,18 @@ impl Oracle {
                 abstract_vm(ctx.mem, view, &mut anomalies),
             ),
         };
-        let context = format!("{comp:?}");
-        reports.extend(
-            anomalies
-                .into_iter()
-                .map(|a| Violation::AbstractionAnomaly {
-                    seq: None,
-                    context: context.clone(),
-                    anomaly: a,
-                }),
-        );
+        if !anomalies.is_empty() {
+            let context = format!("{comp:?}");
+            reports.extend(
+                anomalies
+                    .into_iter()
+                    .map(|a| Violation::AbstractionAnomaly {
+                        seq: None,
+                        context: context.clone(),
+                        anomaly: a,
+                    }),
+            );
+        }
         (value, reports)
     }
 
@@ -1241,26 +1255,24 @@ impl Oracle {
                 return;
             }
         }
-        if !guard.state.contains(key) {
+        if !guard.state.contains(key) || value.agrees_with(&guard.state) {
             return;
         }
-        let prev = guard.state.part(key);
+        // A mismatch: only now copy both sides, to render the diff.
+        let prev = normalized(guard.state.part(key));
         drop(guard);
         let mut now = GhostState::default();
         Self::set_component(&mut now, comp, value, false);
-        let (prev, now) = (normalized(prev), normalized(now));
-        if prev != now {
-            self.report_at(
-                cpu,
-                trap,
-                Violation::NonInterference {
-                    seq: None,
-                    component: key.to_string(),
-                    uniq,
-                    diff: diff_states(&prev, &now),
-                },
-            );
-        }
+        self.report_at(
+            cpu,
+            trap,
+            Violation::NonInterference {
+                seq: None,
+                component: key.to_string(),
+                uniq,
+                diff: diff_states(&prev, &normalized(now)),
+            },
+        );
     }
 
     /// Names a trap from its syndrome and `x0` at entry — exactly the
@@ -1275,8 +1287,8 @@ impl Oracle {
         }
     }
 
-    fn ghost_cpu(regs: &GprFile, loaded: &Option<(Handle, usize, VcpuView)>) -> GhostCpu {
-        GhostCpu {
+    fn ghost_cpu(regs: &GprFile, loaded: &Option<(Handle, usize, VcpuView)>) -> Box<GhostCpu> {
+        Box::new(GhostCpu {
             regs: *regs,
             loaded: loaded.as_ref().map(|(h, i, v)| GhostLoadedVcpu {
                 handle: *h,
@@ -1284,7 +1296,7 @@ impl Oracle {
                 regs: v.regs,
                 memcache: v.memcache_pages.iter().map(|p| p.pfn()).collect(),
             }),
-        }
+        })
     }
 
     /// The specification of the boot-time initial state: carveout
@@ -1373,17 +1385,16 @@ impl Oracle {
     /// entered — otherwise a concurrent trap's legitimate update would be
     /// overwritten with a stale expectation and the next acquisition
     /// would report a spurious non-interference violation.
-    fn seed_deferred(
-        &self,
-        deferred: &[GhostKey],
-        computed: &GhostState,
-        versions_at_entry: &HashMap<Component, u64>,
-    ) {
+    fn seed_deferred(&self, deferred: &[GhostKey], computed: &GhostState, tick_at_entry: u64) {
         let mut shared = self.shared.lock();
         for &key in deferred {
             // Locals are thread-local: the shared copy never holds them.
             let GhostKey::Comp(comp) = key else { continue };
-            if shared.versions.get(&comp) != versions_at_entry.get(&comp) {
+            if shared
+                .versions
+                .get(&comp)
+                .is_some_and(|&v| v > tick_at_entry)
+            {
                 // The component moved while this trap ran; the concurrent
                 // recording is fresher than our computed expectation.
                 continue;
@@ -1461,6 +1472,31 @@ pub(crate) enum ComponentValue {
     Vm(Handle, u64, crate::state::GhostVm),
 }
 
+impl ComponentValue {
+    /// Whether `state` holds this component with a value equal to this
+    /// one once both are normalised — the non-interference comparison,
+    /// made in place.
+    fn agrees_with(&self, state: &GhostState) -> bool {
+        match self {
+            ComponentValue::Host(h) => state.host.as_ref().is_some_and(|s| host_agrees(s, h)),
+            ComponentValue::Pkvm(p) => state.pkvm.as_ref().is_some_and(|s| pkvm_agrees(s, p)),
+            ComponentValue::VmTable(t, _) => state.vm_table.as_ref() == Some(t),
+            ComponentValue::Vm(h, _, vm) => state.vms.get(h).is_some_and(|s| vm_agrees(s, vm)),
+        }
+    }
+}
+
+/// Renders the quarantine key of one handler's spec step
+/// (`spec:<handler>`) on demand.
+#[derive(Clone, Copy)]
+struct SpecKey<'a>(&'a str);
+
+impl fmt::Display for SpecKey<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "spec:{}", self.0)
+    }
+}
+
 impl Oracle {
     /// The spec+check phase of `trap_exit` (runs contained). Reads the
     /// trap's recordings and reports through the bounded log; it never
@@ -1516,7 +1552,7 @@ impl Oracle {
                 // Seed spec-defined but never-recorded components into the
                 // shared copy: the next acquisition validates them.
                 if !outcome.deferred.is_empty() {
-                    self.seed_deferred(&outcome.deferred, &computed, &rec.versions_at_entry);
+                    self.seed_deferred(&outcome.deferred, &computed, rec.tick_at_entry);
                 }
             }
             SpecVerdict::Unchecked(why) => {
@@ -1799,16 +1835,22 @@ impl Oracle {
     }
 
     /// Back half of `trap_enter`: reset the per-CPU recording. The shared
-    /// versions snapshot happens here, at apply time — in pipelined mode
-    /// that is the correct point, because every shared-copy mutation also
-    /// happens at apply time, in message order.
-    fn apply_trap_enter(&self, cpu: usize, seq: u64, call: GhostCallData, cpu_state: GhostCpu) {
-        let versions = self.shared.lock().versions.clone();
+    /// stamp clock is read here, at apply time — in pipelined mode that is
+    /// the correct point, because every shared-copy mutation also happens
+    /// at apply time, in message order.
+    fn apply_trap_enter(
+        &self,
+        cpu: usize,
+        seq: u64,
+        call: GhostCallData,
+        cpu_state: Box<GhostCpu>,
+    ) {
+        let tick = self.shared.lock().tick;
         let mut rec = self.cpus[cpu].lock();
-        rec.pre = GhostState::blank(&self.globals);
-        rec.post = GhostState::blank(&self.globals);
+        rec.pre.clear();
+        rec.post.clear();
         rec.call = Some(call);
-        rec.versions_at_entry = versions;
+        rec.tick_at_entry = tick;
         rec.last_release.clear();
         rec.interleaved.clear();
         rec.trap_seq = Some(seq);
@@ -1823,7 +1865,7 @@ impl Oracle {
         cpu: usize,
         trap: Option<u64>,
         name: String,
-        cpu_state: GhostCpu,
+        cpu_state: Box<GhostCpu>,
         regs_post: GprFile,
         degraded: bool,
     ) {
@@ -1906,8 +1948,9 @@ impl Oracle {
             );
             return;
         }
-        let spec_key = format!("spec:{name}");
-        match self.quarantine.disposition(&spec_key) {
+        // The spec step's quarantine key, rendered only when needed.
+        let spec_key = SpecKey(&name);
+        match self.quarantine.disposition(spec_key) {
             Disposition::Skip => {
                 self.counters
                     .quarantined_skips
@@ -1933,12 +1976,13 @@ impl Oracle {
             Disposition::Process => {}
         }
         match contain(|| self.spec_and_check(cpu, &rec, &call, &name)) {
-            Ok(()) => self.quarantine.record_success(&spec_key),
+            Ok(()) => self.quarantine.record_success(spec_key),
             Err(payload) => {
+                let component = spec_key.to_string();
                 self.counters
                     .contained_panics
                     .fetch_add(1, Ordering::Relaxed);
-                self.quarantine.record_failure(&spec_key);
+                self.quarantine.record_failure(spec_key);
                 self.push_trace(
                     trap,
                     TrapRecord {
@@ -1952,7 +1996,7 @@ impl Oracle {
                     trap,
                     Violation::OracleInternal {
                         seq: None,
-                        component: spec_key,
+                        component,
                         payload,
                     },
                 );
@@ -2069,8 +2113,8 @@ impl GhostHooks for Oracle {
             trap,
             Event::LockAcquired { cpu: ctx.cpu, comp },
         );
-        let key = GhostKey::Comp(comp).to_string();
-        let check_ni = match self.quarantine.disposition(&key) {
+        let key = GhostKey::Comp(comp);
+        let check_ni = match self.quarantine.disposition(key) {
             Disposition::Skip => {
                 self.note_quarantine_skip(ctx.cpu, trap, comp);
                 return;
@@ -2099,7 +2143,7 @@ impl GhostHooks for Oracle {
             });
             return;
         }
-        self.guarded(&key, || {
+        self.guarded(key, || {
             let (value, reports) = self.abstract_component(ctx, view, comp);
             self.dispatch(CheckMsg::LockAcquired {
                 cpu: ctx.cpu,
@@ -2119,8 +2163,8 @@ impl GhostHooks for Oracle {
             trap,
             Event::LockReleasing { cpu: ctx.cpu, comp },
         );
-        let key = GhostKey::Comp(comp).to_string();
-        match self.quarantine.disposition(&key) {
+        let key = GhostKey::Comp(comp);
+        match self.quarantine.disposition(key) {
             Disposition::Skip => {
                 self.note_quarantine_skip(ctx.cpu, trap, comp);
                 return;
@@ -2146,7 +2190,7 @@ impl GhostHooks for Oracle {
             });
             return;
         }
-        self.guarded(&key, || {
+        self.guarded(key, || {
             let (value, reports) = self.abstract_component(ctx, view, comp);
             self.dispatch(CheckMsg::LockReleasing {
                 cpu: ctx.cpu,
@@ -2481,6 +2525,45 @@ mod tests {
     }
 
     #[test]
+    fn noninterference_compares_in_place_like_the_copying_check() {
+        use crate::check::tests::{full_state, one_field_edits};
+        let base = full_state();
+        for (what, key, agrees, edit) in one_field_edits() {
+            let GhostKey::Comp(comp) = key else { continue };
+            let mut edited = base.clone();
+            edit(&mut edited);
+            let value = match comp {
+                Component::Host => ComponentValue::Host(edited.host.clone().unwrap()),
+                Component::Hyp => ComponentValue::Pkvm(edited.pkvm.clone().unwrap()),
+                Component::VmTable => {
+                    ComponentValue::VmTable(edited.vm_table.clone().unwrap(), Vec::new())
+                }
+                Component::Vm(h) => ComponentValue::Vm(h, 1, edited.vms[&h].clone()),
+            };
+            let o = oracle();
+            o.shared.lock().state = base.clone();
+            o.noninterference_check(0, None, comp, &value);
+            let (prev, now) = (normalized(base.part(key)), normalized(edited.part(key)));
+            let reported: Vec<(String, String)> = o
+                .violations()
+                .into_iter()
+                .map(|v| match v {
+                    Violation::NonInterference {
+                        component, diff, ..
+                    } => (component, diff),
+                    v => panic!("{what}: {v}"),
+                })
+                .collect();
+            let expected: Vec<(String, String)> = (prev != now)
+                .then(|| (key.to_string(), diff_states(&prev, &now)))
+                .into_iter()
+                .collect();
+            assert_eq!(reported, expected, "{what}");
+            assert_eq!(reported.is_empty(), agrees, "{what}");
+        }
+    }
+
+    #[test]
     fn table_recording_invalidates_a_stale_incarnations_state() {
         // Belt and braces: if an old incarnation's state is somehow still
         // stored when the table is recorded with a new incarnation under
@@ -2662,11 +2745,7 @@ mod tests {
             },
         });
         computed.host = Some(stale);
-        o.seed_deferred(
-            &[GhostKey::Comp(Component::Host)],
-            &computed,
-            &HashMap::new(),
-        );
+        o.seed_deferred(&[GhostKey::Comp(Component::Host)], &computed, 0);
         // The stale expectation must not overwrite the fresher recording.
         let shared = o.shared.lock();
         assert_eq!(shared.state.host.as_ref(), Some(&concurrent));
@@ -2674,8 +2753,8 @@ mod tests {
         assert!(o.is_clean());
 
         // With matching versions the seed lands.
-        let versions = o.shared.lock().versions.clone();
-        o.seed_deferred(&[GhostKey::Comp(Component::Host)], &computed, &versions);
+        let tick = o.shared.lock().tick;
+        o.seed_deferred(&[GhostKey::Comp(Component::Host)], &computed, tick);
         let shared = o.shared.lock();
         assert_eq!(shared.state.host.as_ref(), computed.host.as_ref());
     }
