@@ -45,6 +45,7 @@
 
 use std::cmp::Reverse;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use pkvm_aarch64::addr::{level_pages, PhysAddr, LEAF_LEVEL, PAGE_SIZE};
 use pkvm_aarch64::attrs::Stage;
@@ -405,7 +406,7 @@ impl AbsCache {
                     .map(|(&pfn, _)| pfn)
                     .collect();
                 if !stale.is_empty() || !sub.table_pages.is_empty() {
-                    let pages = e.interp.table_pages.make_mut();
+                    let pages = Arc::make_mut(&mut e.interp.table_pages);
                     for pfn in stale {
                         e.meta.remove(&pfn);
                         pages.remove(&pfn);

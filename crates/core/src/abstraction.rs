@@ -13,6 +13,7 @@
 //! mapped-on-demand region), and [`abstract_vm`].
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use pkvm_aarch64::addr::{level_pages, PhysAddr, PAGE_SIZE, PTES_PER_TABLE, START_LEVEL};
 use pkvm_aarch64::attrs::{MemType, Perms, Stage};
@@ -122,7 +123,7 @@ impl Walk<'_> {
     fn finish(self) -> AbstractPgtable {
         AbstractPgtable {
             mapping: Mapping::from_canonical(self.maplets),
-            table_pages: self.table_pages.into(),
+            table_pages: Arc::new(self.table_pages),
         }
     }
 }
@@ -206,28 +207,16 @@ fn interpret_table(
         });
         return;
     }
-    // The previous descriptor, while it extended the tail maplet by
-    // exactly its own span and reported nothing.
-    let mut run: Option<Pte> = None;
     // Iterate over the current table entries. All-zero entries denote
     // nothing (most of a table's 512), so they are skipped undecoded.
     for (idx, &pte) in ptes.iter().enumerate() {
         if pte.bits() == 0 {
-            run = None;
             continue;
-        }
-        if run.is_some_and(|prev| continues_run(prev, pte, level)) {
-            // The same maplet one span on: extend the tail undecoded.
-            if let Some(tail) = out.maplets.last_mut() {
-                tail.nr_pages += nr_pages;
-                run = Some(pte);
-                continue;
-            }
         }
         // Compute the input address mapped by this entry.
         let va_offset_in_region = idx as u64 * nr_pages * PAGE_SIZE;
         let va_partial_new = va_partial | va_offset_in_region;
-        let extended = interpret_desc(
+        interpret_desc(
             mem,
             stage,
             table,
@@ -238,34 +227,13 @@ fn interpret_table(
             out,
             anomalies,
         );
-        run = extended.then_some(pte);
     }
-}
-
-/// Whether descriptor `pte` denotes what `prev`, the descriptor before it
-/// in the same table at `level`, denotes, one span further on: the same
-/// annotation, or a leaf whose output address moved by exactly the span
-/// and whose other bits (kind, attributes, software state) are equal. The
-/// maplet `pte` decodes to then coalesces with `prev`'s, and any anomaly
-/// it would report `prev` would have reported too.
-fn continues_run(prev: Pte, pte: Pte, level: u8) -> bool {
-    if !prev.is_valid() {
-        return pte == prev;
-    }
-    let span = level_pages(level) * PAGE_SIZE;
-    // The second test rules out a carry out of the address field, which
-    // would change a non-address bit instead.
-    pte.bits().wrapping_sub(prev.bits()) == span
-        && pte.leaf_oa(level).bits() == prev.leaf_oa(level).bits().wrapping_add(span)
 }
 
 /// Interprets one descriptor `pte` (index `idx` of `table`, mapping from
-/// `ia`) into `out`. Returns whether it extended the walk by exactly one
-/// maplet of its own span (an annotation or a leaf) and reported no
-/// anomaly — the start of a run [`continues_run`] may extend. Always
-/// inlined: the full walk calls it for every non-zero descriptor that
-/// starts a run, and an out-of-line call there costs more than the
-/// decode itself.
+/// `ia`) into `out`. Always inlined: the full walk calls it for every
+/// non-zero descriptor of a table node, and an out-of-line call there
+/// costs more than the decode itself.
 #[inline(always)]
 #[expect(clippy::too_many_arguments)]
 fn interpret_desc(
@@ -278,29 +246,26 @@ fn interpret_desc(
     ia: u64,
     out: &mut Walk,
     anomalies: &mut Vec<Anomaly>,
-) -> bool {
+) {
     let nr_pages = level_pages(level);
     match pte.kind(level) {
         EntryKind::Invalid => {
             // Invalid entries may carry a software owner annotation;
             // all-zero entries denote nothing and are skipped.
-            if pte.bits() == 0 {
-                return false;
+            if pte.bits() != 0 {
+                let owner = annotation_owner(pte);
+                push_coalesced(
+                    &mut out.maplets,
+                    Maplet {
+                        ia,
+                        nr_pages,
+                        target: MapletTarget::Annotated { owner },
+                    },
+                );
             }
-            let owner = annotation_owner(pte);
-            push_coalesced(
-                &mut out.maplets,
-                Maplet {
-                    ia,
-                    nr_pages,
-                    target: MapletTarget::Annotated { owner },
-                },
-            );
-            true
         }
         EntryKind::Table => {
             interpret_table(mem, stage, pte.table_addr(), level + 1, ia, out, anomalies);
-            false
         }
         EntryKind::Block | EntryKind::Page => {
             // Compute output address and attributes, then extend the
@@ -326,7 +291,6 @@ fn interpret_desc(
                     },
                 },
             );
-            state.is_some()
         }
         EntryKind::Reserved => {
             anomalies.push(Anomaly::ReservedDescriptor {
@@ -334,7 +298,6 @@ fn interpret_desc(
                 index: idx,
                 level,
             });
-            false
         }
     }
 }
@@ -418,10 +381,6 @@ pub(crate) fn partition_host(
                     // The loose region: check legality page-range-wise.
                     if oa != m.ia {
                         anomalies.push(Anomaly::HostNotIdentity { ia: m.ia, oa });
-                    }
-                    if globals.is_ram_range(oa, m.nr_pages) {
-                        // Every page is RAM: nothing to check page by page.
-                        continue;
                     }
                     for i in 0..m.nr_pages {
                         let pa = oa + i * PAGE_SIZE;
@@ -582,7 +541,7 @@ mod tests {
     }
 
     #[test]
-    fn runs_extend_exactly_as_descriptor_by_descriptor_decoding() {
+    fn walk_matches_descriptor_by_descriptor_decoding() {
         let mem = mem();
         let root = PhysAddr::new(0x4400_0000);
         let l1 = PhysAddr::new(0x4400_1000);
@@ -594,17 +553,17 @@ mod tests {
         let owned = Attrs::normal(Perms::RWX).with_sw(PageState::Owned.to_sw());
         let illegal = Attrs::normal(Perms::RWX).with_sw(3);
         let page = |oa: u64, attrs| Pte::leaf(Stage::Stage2, 3, PhysAddr::new(oa), attrs);
-        let mut l3_ptes = vec![
-            // A contiguous run, then a jump in the output address.
+        let l3_ptes = vec![
+            // Three contiguous pages, then a jump in the output address.
             page(0x4200_0000, owned),
             page(0x4200_1000, owned),
             page(0x4200_2000, owned),
             page(0x4200_9000, owned),
-            // A run whose state is illegal: one anomaly per page.
+            // Pages whose state is illegal: one anomaly per page.
             page(0x4201_0000, illegal),
             page(0x4201_1000, illegal),
             page(0x4201_2000, illegal),
-            // Annotations: a run, then another owner.
+            // Annotations: two of one owner, then another owner.
             annotation_pte(OwnerId::HYP),
             annotation_pte(OwnerId::HYP),
             annotation_pte(OwnerId::guest(0)),
@@ -612,17 +571,13 @@ mod tests {
             page(0x4202_0000, owned),
             Pte(0),
             page(0x4202_2000, owned),
-            // Different attributes break a run.
+            // Different attributes do not coalesce.
             page(0x4202_3000, Attrs::normal(Perms::RW)),
-            // The largest output address: the next "+ 4 KiB" carries
-            // out of the address field and must not extend the run.
-            page(0xffff_ffff_f000, owned),
         ];
-        l3_ptes.push(Pte(l3_ptes.last().unwrap().bits() + PAGE_SIZE));
         for (i, &pte) in l3_ptes.iter().enumerate() {
             mem.write_pte(l3, i, pte).unwrap();
         }
-        // 2 MiB blocks at level 2: a run of three.
+        // Three contiguous 2 MiB blocks at level 2.
         for (i, oa) in [(5, 0x4420_0000u64), (6, 0x4440_0000), (7, 0x4460_0000)] {
             let block = Pte::leaf(Stage::Stage2, 2, PhysAddr::new(oa), owned);
             mem.write_pte(l2, i, block).unwrap();
@@ -657,10 +612,10 @@ mod tests {
         assert_eq!(walked.mapping, expected);
         assert_eq!(anomalies, expected_anomalies);
         assert_eq!(anomalies.len(), 3, "{anomalies:?}");
-        // Runs coalesced: 3 pages, the jump, the illegal run, the HYP
-        // run, the guest page, two pages split by the hole, the RW page,
-        // the top page, the carried descriptor, and the block run.
-        assert_eq!(walked.mapping.len(), 11, "{:?}", walked.mapping);
+        // Coalesced: 3 pages, the jump, the illegal pages, the HYP
+        // annotations, the guest page, two pages split by the hole, the
+        // RW page, and the blocks.
+        assert_eq!(walked.mapping.len(), 9, "{:?}", walked.mapping);
     }
 
     #[test]

@@ -11,8 +11,8 @@ use pkvm_hyp::hooks::{Component, TransferEdge};
 use crate::abstraction::Anomaly;
 use crate::diff::diff_states;
 use crate::state::{
-    GhostCpu, GhostHost, GhostKey, GhostLoadedVcpu, GhostPkvm, GhostState, GhostVcpu, GhostVm,
-    TablePages,
+    AbstractPgtable, GhostCpu, GhostHost, GhostKey, GhostLoadedVcpu, GhostPkvm, GhostState,
+    GhostVcpu, GhostVm,
 };
 
 /// One detected disagreement between implementation and specification (or
@@ -410,13 +410,13 @@ pub fn normalize(state: &GhostState) -> GhostState {
 /// normalised whole.
 pub(crate) fn normalized(mut s: GhostState) -> GhostState {
     if let Some(h) = s.host.as_mut() {
-        h.table_pages = TablePages::default();
+        h.table_pages = Default::default();
     }
     if let Some(p) = s.pkvm.as_mut() {
-        p.pgt.table_pages = TablePages::default();
+        p.pgt.table_pages = Default::default();
     }
     for vm in s.vms.values_mut() {
-        vm.pgt.table_pages = TablePages::default();
+        vm.pgt.table_pages = Default::default();
         for v in vm.vcpus.iter_mut() {
             if let GhostVcpu::Present { memcache, .. } = v {
                 memcache.clear();
@@ -464,7 +464,17 @@ pub(crate) fn host_agrees(a: &GhostHost, b: &GhostHost) -> bool {
 
 /// pKVM components equal once normalised (the footprint ignored).
 pub(crate) fn pkvm_agrees(a: &GhostPkvm, b: &GhostPkvm) -> bool {
-    a.pgt.mapping == b.pgt.mapping
+    let GhostPkvm { pgt } = a;
+    pgtable_agrees(pgt, &b.pgt)
+}
+
+/// Abstract page tables equal once normalised (the footprint ignored).
+fn pgtable_agrees(a: &AbstractPgtable, b: &AbstractPgtable) -> bool {
+    let AbstractPgtable {
+        mapping,
+        table_pages: _,
+    } = a;
+    *mapping == b.mapping
 }
 
 /// VM components equal once normalised (the footprint and the memcaches
@@ -482,13 +492,19 @@ pub(crate) fn vm_agrees(a: &GhostVm, b: &GhostVm) -> bool {
     *handle == b.handle
         && *slot == b.slot
         && *protected == b.protected
-        && pgt.mapping == b.pgt.mapping
+        && pgtable_agrees(pgt, &b.pgt)
         && *donated == b.donated
         && *firmware == b.firmware
         && vcpus.len() == b.vcpus.len()
         && vcpus.iter().zip(&b.vcpus).all(|pair| match pair {
             (GhostVcpu::Uninit, GhostVcpu::Uninit) => true,
-            (GhostVcpu::Present { regs: x, .. }, GhostVcpu::Present { regs: y, .. }) => x == y,
+            (
+                GhostVcpu::Present {
+                    regs: x,
+                    memcache: _,
+                },
+                GhostVcpu::Present { regs: y, .. },
+            ) => x == y,
             (GhostVcpu::Loaded { on: x }, GhostVcpu::Loaded { on: y }) => x == y,
             _ => false,
         })
@@ -591,6 +607,8 @@ pub(crate) mod tests {
     use crate::state::GhostGlobals;
     use pkvm_aarch64::attrs::{MemType, Perms};
     use pkvm_hyp::owner::{OwnerId, PageState};
+    use std::collections::BTreeSet;
+    use std::sync::Arc;
 
     fn host_state(shared_pages: &[u64]) -> GhostState {
         let mut s = GhostState::blank(&GhostGlobals::default());
@@ -812,11 +830,8 @@ pub(crate) mod tests {
         }
     }
 
-    fn footprint(pfns: &[u64]) -> TablePages {
-        pfns.iter()
-            .copied()
-            .collect::<std::collections::BTreeSet<_>>()
-            .into()
+    fn footprint(pfns: &[u64]) -> Arc<BTreeSet<u64>> {
+        Arc::new(pfns.iter().copied().collect())
     }
 
     /// A state holding every kind of part, each with a footprint or
@@ -883,7 +898,7 @@ pub(crate) mod tests {
         }
         vec![
             ("host footprint", HOST, true, |s| {
-                host(s).table_pages.make_mut().insert(0x44003);
+                Arc::make_mut(&mut host(s).table_pages).insert(0x44003);
             }),
             ("host annot", HOST, false, |s| {
                 host(s).annot.remove(0x4400_0000, 1)
@@ -892,7 +907,7 @@ pub(crate) mod tests {
                 host(s).shared.insert(mapped(0x4000_1000, 0x4000_1000))
             }),
             ("pkvm footprint", PKVM, true, |s| {
-                s.pkvm.as_mut().unwrap().pgt.table_pages = TablePages::default()
+                s.pkvm.as_mut().unwrap().pgt.table_pages = Default::default()
             }),
             ("pkvm mapping", PKVM, false, |s| {
                 s.pkvm.as_mut().unwrap().pgt.mapping = Default::default()
@@ -901,7 +916,7 @@ pub(crate) mod tests {
                 s.vm_table.as_mut().unwrap().push((0x2000, 1))
             }),
             ("vm footprint", VM, true, |s| {
-                vm(s).pgt.table_pages.make_mut().insert(0x44021);
+                Arc::make_mut(&mut vm(s).pgt.table_pages).insert(0x44021);
             }),
             ("vcpu memcache", VM, true, |s| match &mut vm(s).vcpus[1] {
                 GhostVcpu::Present { memcache, .. } => memcache.push(0x44051),

@@ -79,5 +79,5 @@ pub use print::render_state;
 pub use spec::{compute_post, SpecVerdict};
 pub use state::{
     AbstractPgtable, GhostCpu, GhostGlobals, GhostHost, GhostKey, GhostLoadedVcpu, GhostPkvm,
-    GhostState, GhostVcpu, GhostVm, TablePages,
+    GhostState, GhostVcpu, GhostVm,
 };

@@ -10,10 +10,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::ops::Deref;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use pkvm_aarch64::addr::PAGE_SIZE;
 use pkvm_aarch64::sysreg::GprFile;
 use pkvm_hyp::hooks::Component;
 use pkvm_hyp::machine::Machine;
@@ -66,65 +64,9 @@ impl GhostGlobals {
         self.ram.iter().any(|&(b, s)| pa >= b && pa - b < s)
     }
 
-    /// Returns `true` if all `nr_pages` pages from `pa` lie in one RAM
-    /// region (so each page satisfies [`GhostGlobals::is_ram`]).
-    pub(crate) fn is_ram_range(&self, pa: u64, nr_pages: u64) -> bool {
-        let len = nr_pages.saturating_mul(PAGE_SIZE);
-        self.ram
-            .iter()
-            .any(|&(b, s)| pa >= b && pa - b <= s && len <= s - (pa - b))
-    }
-
     /// Returns `true` if `pa` lies in an MMIO region.
     pub fn is_mmio(&self, pa: u64) -> bool {
         self.mmio.iter().any(|&(b, s)| pa >= b && pa - b < s)
-    }
-}
-
-/// The table-node footprint of a page table: the page frame numbers of
-/// every node reachable from its root.
-///
-/// Copy-on-write, like [`Mapping`]: `clone()` is an `Arc` bump and
-/// [`TablePages::make_mut`] copies the set only while it is shared. Ghost
-/// snapshots copy whole components at every lock event, and the
-/// footprint never takes part in a comparison, so it is shared rather
-/// than copied.
-#[derive(Clone, PartialEq, Eq)]
-pub struct TablePages(Arc<BTreeSet<u64>>);
-
-impl Default for TablePages {
-    fn default() -> TablePages {
-        // Every empty footprint shares one storage, so blank and
-        // normalised components do not allocate.
-        static EMPTY: OnceLock<Arc<BTreeSet<u64>>> = OnceLock::new();
-        TablePages(EMPTY.get_or_init(|| Arc::new(BTreeSet::new())).clone())
-    }
-}
-
-impl TablePages {
-    /// The set for mutation, copied first if it is shared.
-    pub fn make_mut(&mut self) -> &mut BTreeSet<u64> {
-        Arc::make_mut(&mut self.0)
-    }
-}
-
-impl Deref for TablePages {
-    type Target = BTreeSet<u64>;
-
-    fn deref(&self) -> &BTreeSet<u64> {
-        &self.0
-    }
-}
-
-impl From<BTreeSet<u64>> for TablePages {
-    fn from(set: BTreeSet<u64>) -> TablePages {
-        TablePages(Arc::new(set))
-    }
-}
-
-impl fmt::Debug for TablePages {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
     }
 }
 
@@ -136,8 +78,11 @@ pub struct AbstractPgtable {
     /// The finite range map the table denotes.
     pub mapping: Mapping,
     /// Page frame numbers of every table node reachable from the root
-    /// (including the root).
-    pub table_pages: TablePages,
+    /// (including the root). Copy-on-write, like [`Mapping`]: ghost
+    /// snapshots copy whole components at every lock event, and the
+    /// footprint never takes part in a comparison, so it is shared
+    /// rather than copied (mutate through [`Arc::make_mut`]).
+    pub table_pages: Arc<BTreeSet<u64>>,
 }
 
 /// Abstraction of pKVM's own stage 1 component.
@@ -159,8 +104,9 @@ pub struct GhostHost {
     pub annot: Mapping,
     /// Pages owned-and-shared by the host, or borrowed by it.
     pub shared: Mapping,
-    /// The table-node footprint of the host stage 2.
-    pub table_pages: TablePages,
+    /// The table-node footprint of the host stage 2, shared like
+    /// [`AbstractPgtable::table_pages`].
+    pub table_pages: Arc<BTreeSet<u64>>,
 }
 
 /// Abstraction of one vCPU's metadata.
@@ -503,13 +449,6 @@ mod tests {
         assert!(g.is_mmio(0x900_0800));
         assert!(!g.is_mmio(0x901_0000));
         assert_eq!(g.hyp_va(0x4000_0000), 0x8000_4000_0000);
-        // A range is RAM when one region holds all of it.
-        assert!(g.is_ram_range(0x4000_0000, 0x8000));
-        assert!(g.is_ram_range(0x47ff_f000, 1));
-        assert!(!g.is_ram_range(0x47ff_f000, 2));
-        assert!(!g.is_ram_range(0x3fff_f000, 2));
-        assert!(!g.is_ram_range(0x900_0000, 1));
-        assert!(!g.is_ram_range(0x4000_0000, u64::MAX));
     }
 
     #[test]

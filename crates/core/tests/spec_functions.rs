@@ -3,6 +3,8 @@
 //! reading of each spec: given this pre-state and call data, exactly that
 //! post-state.
 
+use std::sync::Arc;
+
 use pkvm_aarch64::addr::PAGE_SIZE;
 use pkvm_aarch64::attrs::{MemType, Perms};
 use pkvm_aarch64::esr::Esr;
@@ -360,7 +362,7 @@ fn teardown_spec_returns_exactly_the_infrastructure_pages() {
     // The VM also has a stage 2 table footprint and a guest-mapped page.
     {
         let vm = pre.vms.get_mut(&0x1000).unwrap();
-        vm.pgt.table_pages.make_mut().extend([0x40301u64, 0x40700]);
+        Arc::make_mut(&mut vm.pgt.table_pages).extend([0x40301u64, 0x40700]);
         vm.pgt.mapping.insert(Maplet {
             ia: 0x10 * PAGE_SIZE,
             nr_pages: 1,
