@@ -2711,6 +2711,45 @@ mod tests {
     }
 
     #[test]
+    fn interleaved_findings_are_dropped_and_counted_the_rest_kept() {
+        let h: Handle = 0x1000;
+        let mut host = GhostHost::default();
+        host.annot.insert_new(Maplet {
+            ia: 0x4400_0000,
+            nr_pages: 1,
+            target: MapletTarget::Annotated {
+                owner: pkvm_hyp::owner::OwnerId::HYP,
+            },
+        });
+        for interleaved in [&[][..], &[Component::Host]] {
+            let o = oracle();
+            let mut rec = o.cpus[0].lock();
+            // An SMC changes nothing, yet both the host and the VM moved.
+            rec.pre.host = Some(GhostHost::default());
+            rec.post.host = Some(host.clone());
+            rec.pre.vms.insert(h, ghost_vm(h, &[]));
+            rec.post.vms.insert(h, ghost_vm(h, &[0x44007]));
+            rec.interleaved.extend(interleaved);
+            let call = GhostCallData::new(0, Esr::smc64(), None, GprFile::default());
+            o.spec_and_check(0, &rec, &call, "smc");
+            drop(rec);
+            let vs = o.violations();
+            let skips = o.stats_snapshot().interleaved_skips;
+            assert_eq!(vs.len(), 2 - interleaved.len(), "{vs:?}");
+            assert_eq!(skips, interleaved.len() as u64);
+            // The VM's finding survives either way, under its own key.
+            assert!(
+                matches!(
+                    vs.last(),
+                    Some(Violation::UnexpectedChange { trap, component, .. })
+                        if trap == "smc" && component == "vm[4096]"
+                ),
+                "{vs:?}"
+            );
+        }
+    }
+
+    #[test]
     fn trap_exit_without_call_data_is_a_self_check_not_a_panic() {
         let o = oracle();
         let mem = pkvm_aarch64::memory::PhysMem::new(vec![]);
