@@ -6,6 +6,8 @@
 //! defined it must equal the recorded post, and everywhere else the
 //! recorded post must equal the pre.
 
+use std::fmt;
+
 use pkvm_hyp::hooks::{Component, TransferEdge};
 
 use crate::abstraction::Anomaly;
@@ -15,60 +17,99 @@ use crate::state::{
     GhostVcpu, GhostVm,
 };
 
-/// One detected disagreement between implementation and specification (or
-/// a broken runtime invariant).
-///
-/// Every variant carries `seq`: the violation's position in the unified
-/// event stream (see [`crate::event`]), filled in when the report enters
-/// the stream, so reports can say "diverged at event #N" and a replay can
-/// be compared against the original timeline position by position.
+/// What a violation is about: the ghost-state part the oracle built the
+/// report from, or else a plain name (a checker step such as
+/// `trap_exit`, a spec step such as `spec:vcpu_run`, or a component's
+/// `Debug` form such as `Vm(3)`). It renders as the report's `comp=`
+/// field.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Violation {
+pub enum Subject {
+    /// A part of the ghost state.
+    Part(GhostKey),
+    /// Anything else.
+    Name(String),
+}
+
+impl Subject {
+    /// The one way a name becomes a subject: a ghost-part name (as
+    /// [`GhostKey`]'s `Display` renders it) becomes that part, anything
+    /// else stays a name. The trace decoder reads subjects through it
+    /// too, so a decoded report equals the encoded one.
+    pub fn named(name: impl Into<String>) -> Subject {
+        let name = name.into();
+        match GhostKey::parse(&name) {
+            Some(key) => Subject::Part(key),
+            None => Subject::Name(name),
+        }
+    }
+}
+
+impl From<GhostKey> for Subject {
+    fn from(key: GhostKey) -> Subject {
+        Subject::Part(key)
+    }
+}
+
+impl From<&str> for Subject {
+    fn from(name: &str) -> Subject {
+        Subject::named(name)
+    }
+}
+
+impl fmt::Display for Subject {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Subject::Part(key) => key.fmt(f),
+            Subject::Name(name) => f.write_str(name),
+        }
+    }
+}
+
+/// One detected disagreement between implementation and specification (or
+/// a broken runtime invariant): a header every report shares, plus the
+/// [`ViolationKind`] holding what is particular to its kind.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Violation {
+    /// The report's position in the unified event stream (see
+    /// [`crate::event`]), filled in when the report enters the stream, so
+    /// reports can say "diverged at event #N" and a replay can be compared
+    /// against the original timeline position by position. Protocol
+    /// reports (break-before-make, firmware, transfer, reclaim) anchor on
+    /// the offending event instead.
+    pub seq: Option<u64>,
+    /// The trap being checked, for the ternary check's reports and
+    /// break-before-make (the trap that exited unflushed).
+    pub trap: Option<String>,
+    /// What the report concerns, if it names anything.
+    pub subject: Option<Subject>,
+    /// The incarnation id (`Vm::uniq`) of the VM involved, when known.
+    pub uniq: Option<u64>,
+    /// The kind, with its own payload.
+    pub kind: ViolationKind,
+}
+
+/// The kinds of [`Violation`], each with the payload only it carries.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ViolationKind {
     /// The recorded post-state differs from the spec-computed post-state.
     SpecMismatch {
-        /// Event-stream sequence id of this report.
-        seq: Option<u64>,
-        /// Which trap was being checked.
-        trap: String,
-        /// Which component disagreed.
-        component: String,
-        /// The incarnation id of the VM involved, if the component is a VM.
-        uniq: Option<u64>,
         /// Rendered diff (computed vs recorded).
         diff: String,
     },
     /// A component the spec did not change differs between pre and post.
     UnexpectedChange {
-        /// Event-stream sequence id of this report.
-        seq: Option<u64>,
-        /// Which trap was being checked.
-        trap: String,
-        /// Which component changed.
-        component: String,
-        /// The incarnation id of the VM involved, if the component is a VM.
-        uniq: Option<u64>,
         /// Rendered diff (pre vs recorded post).
         diff: String,
     },
     /// A lock-protected component changed while no one held its lock
     /// (§4.4 invariant 1).
     NonInterference {
-        /// Event-stream sequence id of this report.
-        seq: Option<u64>,
-        /// Which component.
-        component: String,
-        /// The incarnation id of the VM involved, if the component is a VM.
-        uniq: Option<u64>,
         /// Rendered diff (last recorded vs now observed).
         diff: String,
     },
-    /// A page was allocated into one component's page-table footprint
-    /// while belonging to another's (§4.4 invariant 2).
+    /// A page was allocated into the subject's page-table footprint
+    /// while belonging to another component's (§4.4 invariant 2).
     SeparationOverlap {
-        /// Event-stream sequence id of this report.
-        seq: Option<u64>,
-        /// The component allocating.
-        component: String,
         /// The offending page frame.
         pfn: u64,
         /// The component already owning the page.
@@ -76,17 +117,11 @@ pub enum Violation {
     },
     /// The abstraction function found a malformed concrete state.
     AbstractionAnomaly {
-        /// Event-stream sequence id of this report.
-        seq: Option<u64>,
-        /// Where it was found.
-        context: String,
         /// What was found.
         anomaly: Anomaly,
     },
     /// The hypervisor panicked.
     HypPanic {
-        /// Event-stream sequence id of this report.
-        seq: Option<u64>,
         /// The panic reason.
         reason: String,
     },
@@ -95,20 +130,12 @@ pub enum Violation {
     /// run continues — one confused record must not poison a whole
     /// campaign — but the confusion itself is surfaced as a finding.
     OracleSelfCheck {
-        /// Event-stream sequence id of this report.
-        seq: Option<u64>,
-        /// Where the oracle got confused.
-        context: String,
         /// What it could not interpret.
         detail: String,
     },
     /// Oracle self-check: under shadow validation the incremental
     /// abstraction diverged from the full walk.
     ShadowDivergence {
-        /// Event-stream sequence id of this report.
-        seq: Option<u64>,
-        /// Which component's interpretation diverged.
-        component: String,
         /// Rendered diff (full vs incremental).
         diff: String,
     },
@@ -117,10 +144,6 @@ pub enum Violation {
     /// TLB invalidation (plus DSB). `seq` anchors on the offending
     /// table-write event (the `PteDowngrade`), not on this report.
     BreakBeforeMake {
-        /// Event-stream sequence id of the offending downgrade.
-        seq: Option<u64>,
-        /// The trap that exited with the downgrade still unflushed.
-        trap: String,
         /// VMID of the downgraded translation regime.
         vmid: u16,
         /// First input address of the downgraded range.
@@ -134,12 +157,8 @@ pub enum Violation {
     /// the incarnation the page belonged to, and `seq` anchors on the
     /// event where the host regained access.
     FirmwareProtection {
-        /// Event-stream sequence id of the violating regain event.
-        seq: Option<u64>,
         /// Handle of the VM the firmware was donated to.
         handle: u32,
-        /// Incarnation id of that VM (survives handle reuse).
-        uniq: u64,
         /// The firmware page frame the host regained.
         pfn: u64,
     },
@@ -148,8 +167,6 @@ pub enum Violation {
     /// or an unshare that does not restore the pre-share owner. `seq`
     /// anchors on the offending transfer event.
     TransferProtocol {
-        /// Event-stream sequence id of the offending transfer event.
-        seq: Option<u64>,
         /// The edge that was crossed.
         edge: TransferEdge,
         /// The page frame concerned.
@@ -161,223 +178,149 @@ pub enum Violation {
     /// guest data (the wipe was skipped or incomplete). `seq` anchors on
     /// the reclaim transfer event.
     ReclaimWipe {
-        /// Event-stream sequence id of the dirty reclaim event.
-        seq: Option<u64>,
         /// The page frame returned unwiped.
         pfn: u64,
     },
     /// An oracle-internal step (abstraction, spec, or check) panicked and
     /// the panic was contained. The system under test is *not* implicated:
     /// this is the oracle reporting on itself so a campaign can keep
-    /// running instead of aborting.
+    /// running instead of aborting. The subject is the component (or
+    /// oracle step) whose processing panicked.
     OracleInternal {
-        /// Event-stream sequence id of this report.
-        seq: Option<u64>,
-        /// The component (or oracle step) whose processing panicked.
-        component: String,
         /// The stringified panic payload.
         payload: String,
     },
 }
 
 impl Violation {
+    /// A report of `kind` with an empty header.
+    pub fn new(kind: ViolationKind) -> Violation {
+        Violation {
+            seq: None,
+            trap: None,
+            subject: None,
+            uniq: None,
+            kind,
+        }
+    }
+
+    /// A report of `kind` about `subject`, the rest of the header empty.
+    pub fn about(subject: impl Into<Subject>, kind: ViolationKind) -> Violation {
+        Violation {
+            subject: Some(subject.into()),
+            ..Violation::new(kind)
+        }
+    }
+
     /// Stable kind tag, usable as a grep key in reports.
     pub fn kind(&self) -> &'static str {
-        match self {
-            Violation::SpecMismatch { .. } => "spec-mismatch",
-            Violation::UnexpectedChange { .. } => "unexpected-change",
-            Violation::NonInterference { .. } => "non-interference",
-            Violation::SeparationOverlap { .. } => "separation-overlap",
-            Violation::AbstractionAnomaly { .. } => "abstraction-anomaly",
-            Violation::HypPanic { .. } => "hyp-panic",
-            Violation::OracleSelfCheck { .. } => "oracle-self-check",
-            Violation::ShadowDivergence { .. } => "shadow-divergence",
-            Violation::BreakBeforeMake { .. } => "break-before-make",
-            Violation::FirmwareProtection { .. } => "firmware-protection",
-            Violation::TransferProtocol { .. } => "transfer-protocol",
-            Violation::ReclaimWipe { .. } => "reclaim-wipe",
-            Violation::OracleInternal { .. } => "oracle-internal",
-        }
-    }
-
-    /// The trap being checked when the violation was found, if any.
-    pub fn trap(&self) -> Option<&str> {
-        match self {
-            Violation::SpecMismatch { trap, .. }
-            | Violation::UnexpectedChange { trap, .. }
-            | Violation::BreakBeforeMake { trap, .. } => Some(trap),
-            _ => None,
-        }
-    }
-
-    /// The component (or context acting as one) the violation concerns.
-    pub fn component(&self) -> Option<&str> {
-        match self {
-            Violation::SpecMismatch { component, .. }
-            | Violation::UnexpectedChange { component, .. }
-            | Violation::NonInterference { component, .. }
-            | Violation::SeparationOverlap { component, .. }
-            | Violation::ShadowDivergence { component, .. }
-            | Violation::OracleInternal { component, .. } => Some(component),
-            Violation::AbstractionAnomaly { context, .. }
-            | Violation::OracleSelfCheck { context, .. } => Some(context),
-            Violation::HypPanic { .. }
-            | Violation::BreakBeforeMake { .. }
-            | Violation::FirmwareProtection { .. }
-            | Violation::TransferProtocol { .. }
-            | Violation::ReclaimWipe { .. } => None,
-        }
-    }
-
-    /// The incarnation id (`Vm::uniq`) of the VM involved, when known.
-    pub fn vm_uniq(&self) -> Option<u64> {
-        match self {
-            Violation::SpecMismatch { uniq, .. }
-            | Violation::UnexpectedChange { uniq, .. }
-            | Violation::NonInterference { uniq, .. } => *uniq,
-            Violation::FirmwareProtection { uniq, .. } => Some(*uniq),
-            _ => None,
-        }
-    }
-
-    /// Annotates the VM incarnation id on variants that carry one, leaving
-    /// an already-set id alone.
-    pub fn set_vm_uniq(&mut self, id: u64) {
-        match self {
-            Violation::SpecMismatch { uniq, .. }
-            | Violation::UnexpectedChange { uniq, .. }
-            | Violation::NonInterference { uniq, .. }
-                if uniq.is_none() =>
-            {
-                *uniq = Some(id);
-            }
-            _ => {}
+        match self.kind {
+            ViolationKind::SpecMismatch { .. } => "spec-mismatch",
+            ViolationKind::UnexpectedChange { .. } => "unexpected-change",
+            ViolationKind::NonInterference { .. } => "non-interference",
+            ViolationKind::SeparationOverlap { .. } => "separation-overlap",
+            ViolationKind::AbstractionAnomaly { .. } => "abstraction-anomaly",
+            ViolationKind::HypPanic { .. } => "hyp-panic",
+            ViolationKind::OracleSelfCheck { .. } => "oracle-self-check",
+            ViolationKind::ShadowDivergence { .. } => "shadow-divergence",
+            ViolationKind::BreakBeforeMake { .. } => "break-before-make",
+            ViolationKind::FirmwareProtection { .. } => "firmware-protection",
+            ViolationKind::TransferProtocol { .. } => "transfer-protocol",
+            ViolationKind::ReclaimWipe { .. } => "reclaim-wipe",
+            ViolationKind::OracleInternal { .. } => "oracle-internal",
         }
     }
 
     /// The violation's event-stream sequence id, once reported.
     pub fn event_seq(&self) -> Option<u64> {
-        match self {
-            Violation::SpecMismatch { seq, .. }
-            | Violation::UnexpectedChange { seq, .. }
-            | Violation::NonInterference { seq, .. }
-            | Violation::SeparationOverlap { seq, .. }
-            | Violation::AbstractionAnomaly { seq, .. }
-            | Violation::HypPanic { seq, .. }
-            | Violation::OracleSelfCheck { seq, .. }
-            | Violation::ShadowDivergence { seq, .. }
-            | Violation::BreakBeforeMake { seq, .. }
-            | Violation::FirmwareProtection { seq, .. }
-            | Violation::TransferProtocol { seq, .. }
-            | Violation::ReclaimWipe { seq, .. }
-            | Violation::OracleInternal { seq, .. } => *seq,
-        }
+        self.seq
     }
+}
 
-    /// Stamps the event-stream sequence id, leaving an already-set id
-    /// alone (a replayed report keeps the seq of its own timeline).
-    pub fn set_event_seq(&mut self, s: u64) {
-        match self {
-            Violation::SpecMismatch { seq, .. }
-            | Violation::UnexpectedChange { seq, .. }
-            | Violation::NonInterference { seq, .. }
-            | Violation::SeparationOverlap { seq, .. }
-            | Violation::AbstractionAnomaly { seq, .. }
-            | Violation::HypPanic { seq, .. }
-            | Violation::OracleSelfCheck { seq, .. }
-            | Violation::ShadowDivergence { seq, .. }
-            | Violation::BreakBeforeMake { seq, .. }
-            | Violation::FirmwareProtection { seq, .. }
-            | Violation::TransferProtocol { seq, .. }
-            | Violation::ReclaimWipe { seq, .. }
-            | Violation::OracleInternal { seq, .. } => {
-                if seq.is_none() {
-                    *seq = Some(s);
-                }
-            }
-        }
-    }
+/// An optional header field, rendered as `-` when absent.
+struct OrDash<T>(Option<T>);
 
-    fn detail(&self) -> String {
-        match self {
-            Violation::SpecMismatch { diff, .. } => format!("spec mismatch:\n{diff}"),
-            Violation::UnexpectedChange { diff, .. } => format!("unexpected change:\n{diff}"),
-            Violation::NonInterference { diff, .. } => {
-                format!("changed while unlocked:\n{diff}")
-            }
-            Violation::SeparationOverlap { pfn, owner, .. } => {
-                format!("allocated table page {pfn:#x} owned by {owner}")
-            }
-            Violation::AbstractionAnomaly { anomaly, .. } => {
-                format!("malformed concrete state: {anomaly:?}")
-            }
-            Violation::HypPanic { reason, .. } => format!("hypervisor panic: {reason}"),
-            Violation::OracleSelfCheck { detail, .. } => {
-                format!("oracle self-check failed: {detail}")
-            }
-            Violation::ShadowDivergence { diff, .. } => {
-                format!("incremental abstraction diverged from full walk:\n{diff}")
-            }
-            Violation::BreakBeforeMake { vmid, ia, nr, .. } => {
-                if *ia == 0 && *nr == u64::MAX {
-                    format!("downgrade of vmid {vmid} (vmid-wide) exited without TLBI+DSB")
-                } else {
-                    format!(
-                        "downgrade of vmid {vmid} ia {ia:#x} ({nr} pages) exited without \
-                         covering broadcast TLBI+DSB"
-                    )
-                }
-            }
-            Violation::FirmwareProtection {
-                handle, uniq, pfn, ..
-            } => {
-                format!(
-                    "host regained firmware page {pfn:#x} donated to vm {handle:#x} \
-                     (incarnation {uniq})"
-                )
-            }
-            Violation::TransferProtocol {
-                edge, pfn, detail, ..
-            } => {
-                format!(
-                    "page {pfn:#x} illegally crossed edge {}: {detail}",
-                    edge.name()
-                )
-            }
-            Violation::ReclaimWipe { pfn, .. } => {
-                format!("page {pfn:#x} reclaimed to the host still holding guest data")
-            }
-            Violation::OracleInternal { payload, .. } => {
-                format!("contained oracle panic: {payload}")
-            }
+impl<T: fmt::Display> fmt::Display for OrDash<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Some(v) => v.fmt(f),
+            None => f.write_str("-"),
         }
     }
 }
 
 /// Every violation renders through the same header so reports are
-/// greppable without per-variant knowledge: `violation kind=<kind>
-/// trap=<trap|-> comp=<component|-> uniq=<Vm::uniq|-> event=<seq|-> ::
+/// greppable without per-kind knowledge: `violation kind=<kind>
+/// trap=<trap|-> comp=<subject|-> uniq=<Vm::uniq|-> event=<seq|-> ::
 /// <detail>`. The `event=` field is the report's position in the unified
 /// event stream — "diverged at event #N" — so a replay can be lined up
 /// against the original timeline.
-impl std::fmt::Display for Violation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let uniq = self
-            .vm_uniq()
-            .map_or_else(|| "-".to_string(), |u| u.to_string());
-        let event = self
-            .event_seq()
-            .map_or_else(|| "-".to_string(), |s| s.to_string());
+impl fmt::Display for Violation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "violation kind={} trap={} comp={} uniq={} event={} :: {}",
+            "violation kind={} trap={} comp={} uniq={} event={} :: ",
             self.kind(),
-            self.trap().unwrap_or("-"),
-            self.component().unwrap_or("-"),
-            uniq,
-            event,
-            self.detail(),
-        )
+            OrDash(self.trap.as_deref()),
+            OrDash(self.subject.as_ref()),
+            OrDash(self.uniq),
+            OrDash(self.seq),
+        )?;
+        match &self.kind {
+            ViolationKind::SpecMismatch { diff } => write!(f, "spec mismatch:\n{diff}"),
+            ViolationKind::UnexpectedChange { diff } => write!(f, "unexpected change:\n{diff}"),
+            ViolationKind::NonInterference { diff } => write!(f, "changed while unlocked:\n{diff}"),
+            ViolationKind::SeparationOverlap { pfn, owner } => {
+                write!(f, "allocated table page {pfn:#x} owned by {owner}")
+            }
+            ViolationKind::AbstractionAnomaly { anomaly } => {
+                write!(f, "malformed concrete state: {anomaly:?}")
+            }
+            ViolationKind::HypPanic { reason } => write!(f, "hypervisor panic: {reason}"),
+            ViolationKind::OracleSelfCheck { detail } => {
+                write!(f, "oracle self-check failed: {detail}")
+            }
+            ViolationKind::ShadowDivergence { diff } => {
+                write!(
+                    f,
+                    "incremental abstraction diverged from full walk:\n{diff}"
+                )
+            }
+            ViolationKind::BreakBeforeMake { vmid, ia, nr } => {
+                if *ia == 0 && *nr == u64::MAX {
+                    write!(
+                        f,
+                        "downgrade of vmid {vmid} (vmid-wide) exited without TLBI+DSB"
+                    )
+                } else {
+                    write!(
+                        f,
+                        "downgrade of vmid {vmid} ia {ia:#x} ({nr} pages) exited without \
+                         covering broadcast TLBI+DSB"
+                    )
+                }
+            }
+            ViolationKind::FirmwareProtection { handle, pfn } => write!(
+                f,
+                "host regained firmware page {pfn:#x} donated to vm {handle:#x} \
+                 (incarnation {})",
+                OrDash(self.uniq)
+            ),
+            ViolationKind::TransferProtocol { edge, pfn, detail } => write!(
+                f,
+                "page {pfn:#x} illegally crossed edge {}: {detail}",
+                edge.name()
+            ),
+            ViolationKind::ReclaimWipe { pfn } => {
+                write!(
+                    f,
+                    "page {pfn:#x} reclaimed to the host still holding guest data"
+                )
+            }
+            ViolationKind::OracleInternal { payload } => {
+                write!(f, "contained oracle panic: {payload}")
+            }
+        }
     }
 }
 
@@ -561,12 +504,10 @@ pub fn check_trap(
         match (computed.contains(key), recorded.contains(key)) {
             (true, true) => {
                 if !parts_agree(computed, recorded, key) {
-                    out.violations.push(Violation::SpecMismatch {
-                        seq: None,
-                        trap: trap.into(),
-                        component: key.to_string(),
-                        uniq: None,
-                        diff: part_diff(computed, recorded, key),
+                    let diff = part_diff(computed, recorded, key);
+                    out.violations.push(Violation {
+                        trap: Some(trap.into()),
+                        ..Violation::about(key, ViolationKind::SpecMismatch { diff })
                     });
                 }
             }
@@ -579,12 +520,10 @@ pub fn check_trap(
             (false, true) => {
                 // The spec left it alone: it must not have changed.
                 if pre.contains(key) && !parts_agree(pre, recorded, key) {
-                    out.violations.push(Violation::UnexpectedChange {
-                        seq: None,
-                        trap: trap.into(),
-                        component: key.to_string(),
-                        uniq: None,
-                        diff: part_diff(pre, recorded, key),
+                    let diff = part_diff(pre, recorded, key);
+                    out.violations.push(Violation {
+                        trap: Some(trap.into()),
+                        ..Violation::about(key, ViolationKind::UnexpectedChange { diff })
                     });
                 }
                 // A post-only recording with no pre cannot happen through
@@ -647,8 +586,10 @@ pub(crate) mod tests {
         let computed = host_state(&[0x4000_1000]);
         let o = check_trap("host_share_hyp", &pre, &recorded, &computed);
         assert_eq!(o.violations.len(), 1);
-        assert!(
-            matches!(&o.violations[0], Violation::SpecMismatch { component, .. } if component == "host")
+        assert_eq!(o.violations[0].kind(), "spec-mismatch");
+        assert_eq!(
+            o.violations[0].subject,
+            Some(GhostKey::Comp(Component::Host).into())
         );
     }
 
@@ -660,8 +601,8 @@ pub(crate) mod tests {
         let o = check_trap("vcpu_put", &pre, &recorded, &computed);
         assert_eq!(o.violations.len(), 1);
         assert!(matches!(
-            &o.violations[0],
-            Violation::UnexpectedChange { .. }
+            o.violations[0].kind,
+            ViolationKind::UnexpectedChange { .. }
         ));
     }
 
@@ -685,52 +626,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn display_is_uniform_and_greppable() {
-        let v = Violation::SpecMismatch {
-            seq: None,
-            trap: "host_share_hyp".into(),
-            component: "host".into(),
-            uniq: None,
-            diff: "d".into(),
-        };
-        assert!(
-            v.to_string().starts_with(
-                "violation kind=spec-mismatch trap=host_share_hyp comp=host uniq=- event=- ::"
-            ),
-            "{v}"
-        );
-        let mut v = Violation::NonInterference {
-            seq: None,
-            component: "vm[3]".into(),
-            uniq: None,
-            diff: "d".into(),
-        };
-        v.set_vm_uniq(42);
-        v.set_event_seq(1234);
-        assert!(
-            v.to_string().starts_with(
-                "violation kind=non-interference trap=- comp=vm[3] uniq=42 event=1234 ::"
-            ),
-            "{v}"
-        );
-        // A seq set by the original timeline survives a re-report.
-        v.set_event_seq(9999);
-        assert_eq!(v.event_seq(), Some(1234));
-        let v = Violation::OracleInternal {
-            seq: None,
-            component: "spec:vcpu_run".into(),
-            payload: "boom".into(),
-        };
-        let s = v.to_string();
-        assert!(
-            s.starts_with(
-                "violation kind=oracle-internal trap=- comp=spec:vcpu_run uniq=- event=- ::"
-            ) && s.contains("boom"),
-            "{s}"
-        );
-    }
-
-    #[test]
     fn locals_mismatch_detected() {
         let mut pre = GhostState::blank(&GhostGlobals::default());
         pre.write_gpr(0, 1, 7);
@@ -740,9 +635,8 @@ pub(crate) mod tests {
         computed.write_gpr(0, 1, (-1i64) as u64); // spec expected EPERM
         let o = check_trap("host_share_hyp", &pre, &recorded, &computed);
         assert_eq!(o.violations.len(), 1);
-        assert!(
-            matches!(&o.violations[0], Violation::SpecMismatch { component, .. } if component == "locals[0]")
-        );
+        assert_eq!(o.violations[0].kind(), "spec-mismatch");
+        assert_eq!(o.violations[0].subject, Some(GhostKey::Locals(0).into()));
     }
 
     fn vm(handle: u32, slot: usize) -> GhostVm {
@@ -775,18 +669,18 @@ pub(crate) mod tests {
         computed.write_gpr(0, 1, 5);
         computed.write_gpr(1, 1, 3);
         let o = check_trap("t", &pre, &recorded, &computed);
-        let found: Vec<(&str, &str)> = o
+        let found: Vec<(&str, String)> = o
             .violations
             .iter()
-            .map(|v| (v.kind(), v.component().unwrap()))
+            .map(|v| (v.kind(), v.subject.as_ref().unwrap().to_string()))
             .collect();
         assert_eq!(
             found,
             [
-                ("spec-mismatch", "host"),
-                ("unexpected-change", "vm[9]"),
-                ("spec-mismatch", "locals[1]"),
-                ("spec-mismatch", "vm[2]"),
+                ("spec-mismatch", "host".to_string()),
+                ("unexpected-change", "vm[9]".to_string()),
+                ("spec-mismatch", "locals[1]".to_string()),
+                ("spec-mismatch", "vm[2]".to_string()),
             ]
         );
         assert_eq!(
@@ -808,10 +702,10 @@ pub(crate) mod tests {
             (GhostKey::Locals(3), "locals[3]"),
         ] {
             assert_eq!(key.to_string(), name);
-            assert_eq!(GhostKey::parse(name), Some(key), "{name}");
+            assert_eq!(Subject::named(name), Subject::Part(key), "{name}");
         }
         for name in ["vm[bogus]", "vm[", "locals[x]", "Host", "wat"] {
-            assert_eq!(GhostKey::parse(name), None, "{name}");
+            assert_eq!(Subject::named(name), Subject::Name(name.into()), "{name}");
         }
     }
 
@@ -981,23 +875,27 @@ pub(crate) mod tests {
             if computed.contains(key) && recorded.contains(key) {
                 let c = normalized(computed.part(key));
                 if c != r {
-                    out.push(Violation::SpecMismatch {
-                        seq: None,
-                        trap: trap.into(),
-                        component: key.to_string(),
-                        uniq: None,
-                        diff: diff_states(&c, &r),
+                    out.push(Violation {
+                        trap: Some(trap.into()),
+                        ..Violation::about(
+                            key,
+                            ViolationKind::SpecMismatch {
+                                diff: diff_states(&c, &r),
+                            },
+                        )
                     });
                 }
             } else if !computed.contains(key) && recorded.contains(key) && pre.contains(key) {
                 let p = normalized(pre.part(key));
                 if p != r {
-                    out.push(Violation::UnexpectedChange {
-                        seq: None,
-                        trap: trap.into(),
-                        component: key.to_string(),
-                        uniq: None,
-                        diff: diff_states(&p, &r),
+                    out.push(Violation {
+                        trap: Some(trap.into()),
+                        ..Violation::about(
+                            key,
+                            ViolationKind::UnexpectedChange {
+                                diff: diff_states(&p, &r),
+                            },
+                        )
                     });
                 }
             }

@@ -349,7 +349,8 @@ pub struct StatsSnapshot {
     /// (the atomic per-trap comparison does not apply).
     pub interleaved_skips: u64,
     /// Oracle-internal panics caught and converted into
-    /// [`Violation::OracleInternal`] instead of unwinding the caller.
+    /// [`ViolationKind::OracleInternal`](crate::check::ViolationKind::OracleInternal)
+    /// reports instead of unwinding the caller.
     pub contained_panics: u64,
     /// Hook events skipped because their component (or spec step) was
     /// quarantined after repeated contained panics.

@@ -4,7 +4,7 @@
 //! allowed to take down the system it monitors. This module gives the
 //! oracle a blast shield: every abstraction/spec/check step runs under
 //! [`contain`], which converts a panic into an error string the caller
-//! turns into `Violation::OracleInternal`; a [`Quarantine`] tracks
+//! turns into `ViolationKind::OracleInternal`; a [`Quarantine`] tracks
 //! components whose processing fails repeatedly and benches them for a
 //! fixed number of traps, after which the caller re-seeds them from a
 //! full abstraction pass and resumes checking.

@@ -303,8 +303,12 @@ pub enum Event {
         outcome: TrapOutcome,
     },
     /// A violation was reported (also retained in the bounded log).
-    Violation(Violation),
+    /// Boxed: reports are rare, and the wider report must not widen
+    /// every event.
+    Violation(Box<Violation>),
 }
+
+const _: () = assert!(std::mem::size_of::<Event>() <= 56);
 
 impl Event {
     /// Every [`family`](Self::family) tag, for validating family names
@@ -462,9 +466,10 @@ impl EventStream {
         let mut accepted = true;
         match &mut event {
             Event::Violation(v) => {
-                v.set_event_seq(seq);
+                // A replayed report keeps the seq of its own timeline.
+                v.seq.get_or_insert(seq);
                 if g.violations.len() < self.violation_cap {
-                    g.violations.push(v.clone());
+                    g.violations.push(Violation::clone(v));
                     self.nr_violations
                         .store(g.violations.len() as u64, Ordering::Relaxed);
                 } else {
@@ -502,7 +507,7 @@ impl EventStream {
     /// `false` when the log was full and the report was dropped (the
     /// caller counts drops — see `StatsSnapshot::violations_dropped`).
     pub fn violation(&self, lane: u32, trap: Option<u64>, v: Violation) -> bool {
-        self.append(lane, trap, Event::Violation(v)).1
+        self.append(lane, trap, Event::Violation(Box::new(v))).1
     }
 
     /// Number of events retained in the timeline.
@@ -677,8 +682,8 @@ impl ShapeHasher {
             Event::Violation(v) => {
                 self.byte(7);
                 self.tag(v.kind());
-                if let Some(c) = v.component() {
-                    self.tag(c);
+                if let Some(s) = &v.subject {
+                    self.tag(&s.to_string());
                 }
             }
             Event::Chaos { kind, .. } => {
@@ -1068,6 +1073,7 @@ impl TraceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::ViolationKind;
 
     fn stream() -> EventStream {
         EventStream::new(true, 8)
@@ -1109,10 +1115,9 @@ mod tests {
             let retained = s.violation(
                 0,
                 Some(0),
-                Violation::HypPanic {
-                    seq: None,
+                Violation::new(ViolationKind::HypPanic {
                     reason: format!("p{i}"),
-                },
+                }),
             );
             assert_eq!(retained, i < 2, "cap is 2");
         }
@@ -1130,6 +1135,17 @@ mod tests {
         // consumed a primary sequence number.
         assert!(s.is_empty());
         assert_eq!(s.emit(0, None, Event::TrapEnter { cpu: 0 }), 1);
+        // A replayed report keeps the seq of its own timeline.
+        let replayed = EventStream::new(false, 1);
+        replayed.violation(
+            0,
+            None,
+            Violation {
+                seq: Some(1234),
+                ..Violation::new(ViolationKind::HypPanic { reason: "p".into() })
+            },
+        );
+        assert_eq!(replayed.violations()[0].event_seq(), Some(1234));
     }
 
     /// Emits one fixed sequence of driver, hook, `Check` and `Violation`
@@ -1141,9 +1157,10 @@ mod tests {
             name: name.into(),
             outcome: TrapOutcome::Clean,
         };
-        let panic = |reason: &str| Violation::HypPanic {
-            seq: None,
-            reason: reason.into(),
+        let panic = |reason: &str| {
+            Violation::new(ViolationKind::HypPanic {
+                reason: reason.into(),
+            })
         };
         let mut seqs = Vec::new();
         seqs.push(s.emit(
@@ -1165,7 +1182,7 @@ mod tests {
                 comp: Component::Host,
             },
         ));
-        seqs.push(s.emit(0, Some(trap), Event::Violation(panic("a"))));
+        seqs.push(s.emit(0, Some(trap), Event::Violation(Box::new(panic("a")))));
         seqs.push(s.emit(0, Some(trap), Event::Dsb { cpu: 0 }));
         seqs.push(s.emit(0, Some(trap), check("t")));
         s.violation(1, None, panic("b"));
@@ -1349,9 +1366,11 @@ mod tests {
             t_ns: 0,
             event,
         };
-        let violation = |at: u64| Violation::HypPanic {
-            seq: Some(at),
-            reason: "p".into(),
+        let violation = |at: u64| {
+            Box::new(Violation {
+                seq: Some(at),
+                ..Violation::new(ViolationKind::HypPanic { reason: "p".into() })
+            })
         };
         let check = |name: &str| Event::Check {
             cpu: 0,

@@ -63,7 +63,7 @@ pub use abstraction::{
     interpret_pgtable_with_meta, interpret_subtree, Anomaly, TableMeta,
 };
 pub use calldata::GhostCallData;
-pub use check::{check_trap, normalize, CheckOutcome, Violation};
+pub use check::{check_trap, normalize, CheckOutcome, Subject, Violation, ViolationKind};
 pub use checker::{CheckMode, Checker, StatsSnapshot, Verdict};
 pub use containment::{contain, Disposition, Quarantine};
 pub use diff::diff_states;

@@ -46,7 +46,8 @@ use crate::abstraction::{
 };
 use crate::calldata::GhostCallData;
 use crate::check::{
-    check_trap, host_agrees, normalize, normalized, pkvm_agrees, vm_agrees, Violation,
+    check_trap, host_agrees, normalize, normalized, pkvm_agrees, vm_agrees, Subject, Violation,
+    ViolationKind,
 };
 use crate::checker::{
     checker_loop, CheckMode, CheckMsg, Checker, Pipeline, StatsSnapshot, Verdict,
@@ -516,6 +517,24 @@ struct FirmwarePage {
     reported: bool,
 }
 
+impl FirmwarePage {
+    /// The breach report for this page at frame `pfn`, anchored at `seq`
+    /// — the first time only: `None` once the page was reported.
+    fn report(&mut self, pfn: u64, seq: Option<u64>) -> Option<Violation> {
+        if std::mem::replace(&mut self.reported, true) {
+            return None;
+        }
+        Some(Violation {
+            seq,
+            uniq: Some(self.uniq),
+            ..Violation::new(ViolationKind::FirmwareProtection {
+                handle: self.handle,
+                pfn,
+            })
+        })
+    }
+}
+
 /// Back-half ledger for the firmware-protection check. Insert-only: a
 /// donation binds the page to its VM incarnation for the rest of the
 /// run, surviving teardown and handle reuse (the hypervisor retains
@@ -542,44 +561,23 @@ impl FirmwareTracker {
     /// The host regained `[pfn, pfn+nr)`: reports every tracked firmware
     /// page in the range (anchored at the regain event `seq`).
     fn check_regain(&mut self, seq: u64, pfn: u64, nr: u64) -> Vec<Violation> {
-        let mut out = Vec::new();
-        for p in pfn..pfn.saturating_add(nr) {
-            if let Some(fw) = self.pages.get_mut(&p) {
-                if !fw.reported {
-                    fw.reported = true;
-                    out.push(Violation::FirmwareProtection {
-                        seq: Some(seq),
-                        handle: fw.handle,
-                        uniq: fw.uniq,
-                        pfn: p,
-                    });
-                }
-            }
-        }
-        out
+        (pfn..pfn.saturating_add(nr))
+            .filter_map(|p| self.pages.get_mut(&p)?.report(p, Some(seq)))
+            .collect()
     }
 
     /// Backstop over a freshly abstracted host component: any tracked
     /// page the host's stage 2 can reach again (no longer annotated away
     /// from it) is a breach, even if no regain hook announced it.
     fn scan_host(&mut self, host: &GhostHost) -> Vec<Violation> {
-        let mut out = Vec::new();
-        for (p, fw) in self.pages.iter_mut() {
-            if !fw.reported && host.annot.lookup(p << 12).is_none() {
-                fw.reported = true;
-                out.push(Violation::FirmwareProtection {
-                    seq: None,
-                    handle: fw.handle,
-                    uniq: fw.uniq,
-                    pfn: *p,
-                });
-            }
-        }
-        out.sort_by_key(|v| match v {
-            Violation::FirmwareProtection { pfn, .. } => *pfn,
-            _ => 0,
-        });
-        out
+        let mut out: Vec<(u64, Violation)> = self
+            .pages
+            .iter_mut()
+            .filter(|(p, _)| host.annot.lookup(*p << 12).is_none())
+            .filter_map(|(&p, fw)| Some((p, fw.report(p, None)?)))
+            .collect();
+        out.sort_by_key(|&(p, _)| p);
+        out.into_iter().map(|(_, v)| v).collect()
     }
 }
 
@@ -771,7 +769,7 @@ impl Oracle {
 
     /// The checker thread's per-message entry: applies with a containment
     /// net (a panicking check becomes a quarantine strike plus an
-    /// [`Violation::OracleInternal`], never a dead checker thread) and
+    /// [`ViolationKind::OracleInternal`], never a dead checker thread) and
     /// advances the applied counter. Inline mode never comes through
     /// here — the hook's own containment wraps the synchronous apply,
     /// exactly as the classic oracle contained it.
@@ -804,20 +802,8 @@ impl Oracle {
             p.note_applied();
         }
         if let Err(payload) = res {
-            let key = comp.map_or_else(|| step.to_string(), |c| GhostKey::Comp(c).to_string());
-            self.counters
-                .contained_panics
-                .fetch_add(1, Ordering::Relaxed);
-            self.quarantine.record_failure(&key);
-            self.report_all_at(
-                0,
-                None,
-                vec![Violation::OracleInternal {
-                    seq: None,
-                    component: key,
-                    payload,
-                }],
-            );
+            let key = comp.map_or_else(|| Subject::named(step), |c| GhostKey::Comp(c).into());
+            self.report(self.contained_panic(key, payload));
         }
     }
 
@@ -895,56 +881,62 @@ impl Oracle {
         }
     }
 
-    /// Fills in the VM incarnation id on reports about a `vm[<handle>]`
-    /// component, from the shared copy's incarnation table. (Reports that
+    /// Fills in the VM incarnation id on the diff-carrying reports
+    /// (spec mismatch, unexpected change, non-interference) about a VM
+    /// part, from the shared copy's incarnation table. (Reports that
     /// already know their incarnation keep it.)
     fn annotate_vm_uniq(&self, vs: &mut [Violation]) {
-        let vm_of = |v: &Violation| match v.component().and_then(GhostKey::parse) {
-            Some(GhostKey::Comp(Component::Vm(h))) => Some(h),
+        let vm_of = |v: &Violation| match (&v.kind, &v.subject, v.uniq) {
+            (
+                ViolationKind::SpecMismatch { .. }
+                | ViolationKind::UnexpectedChange { .. }
+                | ViolationKind::NonInterference { .. },
+                Some(Subject::Part(GhostKey::Comp(Component::Vm(h)))),
+                None,
+            ) => Some(*h),
             _ => None,
         };
-        if !vs
-            .iter()
-            .any(|v| v.vm_uniq().is_none() && vm_of(v).is_some())
-        {
+        if !vs.iter().any(|v| vm_of(v).is_some()) {
             return;
         }
         let guard = self.shared.lock();
         for v in vs.iter_mut() {
             if let Some(h) = vm_of(v) {
-                if let Some(&u) = guard.vm_uniq.get(&h) {
-                    v.set_vm_uniq(u);
-                }
+                v.uniq = guard.vm_uniq.get(&h).copied();
             }
         }
     }
 
     /// Runs one front-half oracle step with panics contained: a panic
-    /// becomes a [`Violation::OracleInternal`] and a strike against
+    /// becomes a [`ViolationKind::OracleInternal`] and a strike against
     /// `key`'s quarantine record, never an unwind into the hypervisor.
     /// The report is routed through the pipeline ([`CheckMsg::Report`])
     /// like every front-originated violation, so the derived sequence
     /// numbering is identical in both check modes. `key` is rendered only
     /// once the quarantine has something to look up.
-    fn guarded(&self, key: impl fmt::Display, f: impl FnOnce()) {
+    fn guarded(&self, key: impl fmt::Display + Into<Subject>, f: impl FnOnce()) {
         match contain(f) {
             Ok(()) => self.quarantine.record_success(&key),
-            Err(payload) => {
-                self.counters
-                    .contained_panics
-                    .fetch_add(1, Ordering::Relaxed);
-                self.quarantine.record_failure(&key);
-                self.dispatch(CheckMsg::Report {
-                    cpu: 0,
-                    trap: None,
-                    violations: vec![Violation::OracleInternal {
-                        seq: None,
-                        component: key.to_string(),
-                        payload,
-                    }],
-                });
-            }
+            Err(payload) => self.dispatch(CheckMsg::Report {
+                cpu: 0,
+                trap: None,
+                violations: vec![self.contained_panic(key, payload)],
+            }),
         }
+    }
+
+    /// A panic contained while processing `key`: counts it, strikes
+    /// `key`'s quarantine record, and returns its report.
+    fn contained_panic(
+        &self,
+        key: impl fmt::Display + Into<Subject>,
+        payload: String,
+    ) -> Violation {
+        self.counters
+            .contained_panics
+            .fetch_add(1, Ordering::Relaxed);
+        self.quarantine.record_failure(&key);
+        Violation::about(key, ViolationKind::OracleInternal { payload })
     }
 
     /// Sequence id of the trap currently executing on `cpu`, if any
@@ -1120,16 +1112,13 @@ impl Oracle {
             ),
         };
         if !anomalies.is_empty() {
-            let context = format!("{comp:?}");
-            reports.extend(
-                anomalies
-                    .into_iter()
-                    .map(|a| Violation::AbstractionAnomaly {
-                        seq: None,
-                        context: context.clone(),
-                        anomaly: a,
-                    }),
-            );
+            let context = Subject::named(format!("{comp:?}"));
+            reports.extend(anomalies.into_iter().map(|anomaly| {
+                Violation::about(
+                    context.clone(),
+                    ViolationKind::AbstractionAnomaly { anomaly },
+                )
+            }));
         }
         (value, reports)
     }
@@ -1161,17 +1150,17 @@ impl Oracle {
         let full = interpret_pgtable(ctx.mem, Stage::Stage2, root, anomalies);
         let full_part = partition_host(full.mapping.iter().copied(), &self.globals, anomalies);
         if inc != full || inc_part != full_part || inc_anomalies != anomalies[before..] {
-            reports.push(Violation::ShadowDivergence {
-                seq: None,
-                component: format!("{:?}", Component::Host),
-                diff: pgtable_divergence(
-                    &full,
-                    &inc,
-                    &anomalies[before..],
-                    &inc_anomalies,
-                    Some((&full_part, &inc_part)),
-                ),
-            });
+            let diff = pgtable_divergence(
+                &full,
+                &inc,
+                &anomalies[before..],
+                &inc_anomalies,
+                Some((&full_part, &inc_part)),
+            );
+            reports.push(Violation::about(
+                Subject::named(format!("{:?}", Component::Host)),
+                ViolationKind::ShadowDivergence { diff },
+            ));
         }
         full_part.into_host(full)
     }
@@ -1204,11 +1193,11 @@ impl Oracle {
         let before = anomalies.len();
         let full = interpret_pgtable(ctx.mem, stage, root, anomalies);
         if inc != full || inc_anomalies != anomalies[before..] {
-            reports.push(Violation::ShadowDivergence {
-                seq: None,
-                component: format!("{key:?}"),
-                diff: pgtable_divergence(&full, &inc, &anomalies[before..], &inc_anomalies, None),
-            });
+            let diff = pgtable_divergence(&full, &inc, &anomalies[before..], &inc_anomalies, None);
+            reports.push(Violation::about(
+                Subject::named(format!("{key:?}")),
+                ViolationKind::ShadowDivergence { diff },
+            ));
         }
         full
     }
@@ -1266,13 +1255,28 @@ impl Oracle {
         self.report_at(
             cpu,
             trap,
-            Violation::NonInterference {
-                seq: None,
-                component: key.to_string(),
+            Violation {
                 uniq,
-                diff: diff_states(&prev, &normalized(now)),
+                ..Violation::about(
+                    key,
+                    ViolationKind::NonInterference {
+                        diff: diff_states(&prev, &normalized(now)),
+                    },
+                )
             },
         );
+    }
+
+    /// The self-check report of a trap exit with no recorded call data:
+    /// trap_enter never ran (or its delivery was dropped). A confused
+    /// recording, not a hypervisor bug.
+    fn no_call_data() -> Violation {
+        Violation::about(
+            "trap_exit",
+            ViolationKind::OracleSelfCheck {
+                detail: "no recorded call data (trap_enter not delivered?)".into(),
+            },
+        )
     }
 
     /// Names a trap from its syndrome and `x0` at entry — exactly the
@@ -1351,12 +1355,14 @@ impl Oracle {
         let mut ok = true;
         for key in [Component::Host, Component::Hyp].map(GhostKey::Comp) {
             if expected.contains(key) && !recorded.contains(key) {
-                self.report(Violation::SpecMismatch {
-                    seq: None,
-                    trap: "boot".into(),
-                    component: key.to_string(),
-                    uniq: None,
-                    diff: "component never recorded during boot".into(),
+                self.report(Violation {
+                    trap: Some("boot".into()),
+                    ..Violation::about(
+                        key,
+                        ViolationKind::SpecMismatch {
+                            diff: "component never recorded during boot".into(),
+                        },
+                    )
                 });
                 ok = false;
             }
@@ -1366,12 +1372,14 @@ impl Oracle {
         let mut rec_cmp = recorded.clone();
         rec_cmp.vm_table = None;
         if exp_cmp.host.is_some() && rec_cmp.host.is_some() && exp_cmp != rec_cmp {
-            self.report(Violation::SpecMismatch {
-                seq: None,
-                trap: "boot".into(),
-                component: "initial state".into(),
-                uniq: None,
-                diff: diff_states(&exp_cmp, &rec_cmp),
+            self.report(Violation {
+                trap: Some("boot".into()),
+                ..Violation::about(
+                    "initial state",
+                    ViolationKind::SpecMismatch {
+                        diff: diff_states(&exp_cmp, &rec_cmp),
+                    },
+                )
             });
             ok = false;
         }
@@ -1497,6 +1505,12 @@ impl fmt::Display for SpecKey<'_> {
     }
 }
 
+impl From<SpecKey<'_>> for Subject {
+    fn from(key: SpecKey<'_>) -> Subject {
+        Subject::named(key.to_string())
+    }
+}
+
 impl Oracle {
     /// The spec+check phase of `trap_exit` (runs contained). Reads the
     /// trap's recordings and reports through the bounded log; it never
@@ -1515,24 +1529,15 @@ impl Oracle {
                     // "pre plus this handler's effect", so comparing it is
                     // meaningless. Drop their findings (counted, so a
                     // campaign can see how often the check degraded).
-                    let interleaved = &rec.interleaved;
+                    let found = outcome.violations.len();
                     outcome.violations.retain(|v| {
-                        let comp = match v {
-                            Violation::SpecMismatch { component, .. }
-                            | Violation::UnexpectedChange { component, .. } => component,
-                            _ => return true,
-                        };
-                        let skip = matches!(
-                            GhostKey::parse(comp),
-                            Some(GhostKey::Comp(c)) if interleaved.contains(&c)
-                        );
-                        if skip {
-                            self.counters
-                                .interleaved_skips
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                        !skip
+                        !matches!(v.subject, Some(Subject::Part(GhostKey::Comp(c)))
+                            if rec.interleaved.contains(&c))
                     });
+                    let skipped = found - outcome.violations.len();
+                    self.counters
+                        .interleaved_skips
+                        .fetch_add(skipped as u64, Ordering::Relaxed);
                 }
                 self.push_trace(
                     rec.trap_seq,
@@ -1582,12 +1587,12 @@ impl Oracle {
                 self.report_at(
                     cpu,
                     rec.trap_seq,
-                    Violation::SpecMismatch {
-                        seq: None,
-                        trap: name.to_string(),
-                        component: "spec-detected impossibility".into(),
-                        uniq: None,
-                        diff: reason,
+                    Violation {
+                        trap: Some(name.to_string()),
+                        ..Violation::about(
+                            "spec-detected impossibility",
+                            ViolationKind::SpecMismatch { diff: reason },
+                        )
                     },
                 );
             }
@@ -1732,12 +1737,13 @@ impl Oracle {
                     return;
                 };
                 drop(fp);
-                let v = Violation::SeparationOverlap {
-                    seq: None,
-                    component: format!("{comp:?}"),
-                    pfn,
-                    owner: format!("{owner:?}"),
-                };
+                let v = Violation::about(
+                    Subject::named(format!("{comp:?}")),
+                    ViolationKind::SeparationOverlap {
+                        pfn,
+                        owner: format!("{owner:?}"),
+                    },
+                );
                 self.report_at(cpu, trap, v);
             }
             Event::TablePageFree { comp, pfn } if self.opts.check_separation => {
@@ -1781,17 +1787,19 @@ impl Oracle {
                 let mut xfer = self.xfer.lock();
                 for p in pfn..pfn.saturating_add(nr) {
                     if let Err(from) = xfer.cross(edge, p) {
-                        violations.push(Violation::TransferProtocol {
+                        violations.push(Violation {
                             seq: Some(seq),
-                            edge,
-                            pfn: p,
-                            detail: format!("departed from state {from}"),
+                            ..Violation::new(ViolationKind::TransferProtocol {
+                                edge,
+                                pfn: p,
+                                detail: format!("departed from state {from}"),
+                            })
                         });
                     }
                     if edge == TransferEdge::Reclaim && dirty {
-                        violations.push(Violation::ReclaimWipe {
+                        violations.push(Violation {
                             seq: Some(seq),
-                            pfn: p,
+                            ..Violation::new(ViolationKind::ReclaimWipe { pfn: p })
                         });
                     }
                 }
@@ -1877,12 +1885,14 @@ impl Oracle {
         if !leftovers.is_empty() {
             let violations = leftovers
                 .into_iter()
-                .map(|b| Violation::BreakBeforeMake {
+                .map(|b| Violation {
                     seq: Some(b.seq),
-                    trap: name.clone(),
-                    vmid: b.vmid,
-                    ia: b.ia,
-                    nr: b.nr,
+                    trap: Some(name.clone()),
+                    ..Violation::new(ViolationKind::BreakBeforeMake {
+                        vmid: b.vmid,
+                        ia: b.ia,
+                        nr: b.nr,
+                    })
                 })
                 .collect();
             self.report_all_at(cpu, trap, violations);
@@ -1899,35 +1909,13 @@ impl Oracle {
         let call = match prep {
             Ok(Some(call)) => call,
             Ok(None) => {
-                // No call data: trap_enter never ran (or its delivery was
-                // dropped). A confused recording, not a hypervisor bug.
                 drop(rec);
-                self.report_at(
-                    cpu,
-                    trap,
-                    Violation::OracleSelfCheck {
-                        seq: None,
-                        context: "trap_exit".into(),
-                        detail: "no recorded call data (trap_enter not delivered?)".into(),
-                    },
-                );
+                self.report_at(cpu, trap, Self::no_call_data());
                 return;
             }
             Err(payload) => {
                 drop(rec);
-                self.counters
-                    .contained_panics
-                    .fetch_add(1, Ordering::Relaxed);
-                self.quarantine.record_failure("trap_exit");
-                self.report_at(
-                    cpu,
-                    trap,
-                    Violation::OracleInternal {
-                        seq: None,
-                        component: "trap_exit".into(),
-                        payload,
-                    },
-                );
+                self.report_at(cpu, trap, self.contained_panic("trap_exit", payload));
                 return;
             }
         };
@@ -1978,11 +1966,7 @@ impl Oracle {
         match contain(|| self.spec_and_check(cpu, &rec, &call, &name)) {
             Ok(()) => self.quarantine.record_success(spec_key),
             Err(payload) => {
-                let component = spec_key.to_string();
-                self.counters
-                    .contained_panics
-                    .fetch_add(1, Ordering::Relaxed);
-                self.quarantine.record_failure(spec_key);
+                let report = self.contained_panic(spec_key, payload);
                 self.push_trace(
                     trap,
                     TrapRecord {
@@ -1991,15 +1975,7 @@ impl Oracle {
                         outcome: TrapOutcome::Unchecked("spec step panicked (contained)".into()),
                     },
                 );
-                self.report_at(
-                    cpu,
-                    trap,
-                    Violation::OracleInternal {
-                        seq: None,
-                        component,
-                        payload,
-                    },
-                );
+                self.report_at(cpu, trap, report);
             }
         }
     }
@@ -2057,33 +2033,19 @@ impl GhostHooks for Oracle {
         let cpu_state = match prep {
             Ok(state) => state,
             Err(payload) => {
-                self.counters
-                    .contained_panics
-                    .fetch_add(1, Ordering::Relaxed);
-                self.quarantine.record_failure("trap_exit");
                 self.dispatch(CheckMsg::Report {
                     cpu: ctx.cpu,
                     trap,
-                    violations: vec![Violation::OracleInternal {
-                        seq: None,
-                        component: "trap_exit".into(),
-                        payload,
-                    }],
+                    violations: vec![self.contained_panic("trap_exit", payload)],
                 });
                 return;
             }
         };
         let Some((esr, x0)) = mirror else {
-            // No call data: trap_enter never ran (or its delivery was
-            // dropped). A confused recording, not a hypervisor bug.
             self.dispatch(CheckMsg::Report {
                 cpu: ctx.cpu,
                 trap,
-                violations: vec![Violation::OracleSelfCheck {
-                    seq: None,
-                    context: "trap_exit".into(),
-                    detail: "no recorded call data (trap_enter not delivered?)".into(),
-                }],
+                violations: vec![Self::no_call_data()],
             });
             return;
         };
@@ -2300,10 +2262,9 @@ impl GhostHooks for Oracle {
         self.dispatch(CheckMsg::Report {
             cpu: ctx.cpu,
             trap,
-            violations: vec![Violation::HypPanic {
-                seq: None,
+            violations: vec![Violation::new(ViolationKind::HypPanic {
                 reason: reason.into(),
-            }],
+            })],
         });
     }
 
@@ -2344,8 +2305,8 @@ mod tests {
         // The same page backing a *different* component's table: flagged.
         o.table_page_alloc(&ctx, Component::Hyp, page);
         assert!(matches!(
-            o.violations()[0],
-            Violation::SeparationOverlap { .. }
+            o.violations()[0].kind,
+            ViolationKind::SeparationOverlap { .. }
         ));
         // Freeing and re-allocating elsewhere is fine.
         o.clear_violations();
@@ -2519,8 +2480,8 @@ mod tests {
             &ComponentValue::Vm(h, 2, ghost_vm(h, &[0x44007])),
         );
         assert!(matches!(
-            &o.violations()[0],
-            Violation::NonInterference { .. }
+            o.violations()[0].kind,
+            ViolationKind::NonInterference { .. }
         ));
     }
 
@@ -2544,18 +2505,16 @@ mod tests {
             o.shared.lock().state = base.clone();
             o.noninterference_check(0, None, comp, &value);
             let (prev, now) = (normalized(base.part(key)), normalized(edited.part(key)));
-            let reported: Vec<(String, String)> = o
+            let reported: Vec<(Option<Subject>, String)> = o
                 .violations()
                 .into_iter()
-                .map(|v| match v {
-                    Violation::NonInterference {
-                        component, diff, ..
-                    } => (component, diff),
-                    v => panic!("{what}: {v}"),
+                .map(|v| match v.kind {
+                    ViolationKind::NonInterference { diff } => (v.subject, diff),
+                    _ => panic!("{what}: {v}"),
                 })
                 .collect();
-            let expected: Vec<(String, String)> = (prev != now)
-                .then(|| (key.to_string(), diff_states(&prev, &now)))
+            let expected: Vec<(Option<Subject>, String)> = (prev != now)
+                .then(|| (Some(Subject::Part(key)), diff_states(&prev, &now)))
                 .into_iter()
                 .collect();
             assert_eq!(reported, expected, "{what}");
@@ -2597,7 +2556,7 @@ mod tests {
         let ctx = HookCtx { mem: &mem, cpu: 0 };
         o.hyp_panic(&ctx, "BUG()");
         assert!(
-            matches!(&o.violations()[0], Violation::HypPanic { reason, .. } if reason == "BUG()")
+            matches!(&o.violations()[0].kind, ViolationKind::HypPanic { reason } if reason == "BUG()")
         );
     }
 
@@ -2651,11 +2610,8 @@ mod tests {
         }
         let vs = o.violations();
         assert_eq!(vs.len(), 3);
-        assert!(vs.iter().all(|v| matches!(
-            v,
-            Violation::OracleInternal { component, payload, .. }
-                if component == "host" && payload.contains("chaos")
-        )));
+        assert!(vs.iter().all(|v| v.subject == Some(GhostKey::Comp(Component::Host).into())
+            && matches!(&v.kind, ViolationKind::OracleInternal { payload } if payload.contains("chaos"))));
         assert_eq!(o.stats_snapshot().contained_panics, 3);
         assert_eq!(o.quarantine.disposition("host"), Disposition::Skip);
         assert_eq!(o.quarantined(), 1);
@@ -2673,10 +2629,9 @@ mod tests {
             OracleOpts::builder().violation_cap(4).build(),
         );
         for i in 0..10 {
-            o.report(Violation::HypPanic {
-                seq: None,
+            o.report(Violation::new(ViolationKind::HypPanic {
                 reason: format!("p{i}"),
-            });
+            }));
         }
         assert_eq!(o.violations().len(), 4);
         assert_eq!(o.violation_count(), 4);
@@ -2694,15 +2649,15 @@ mod tests {
                 &ComponentValue::VmTable(vec![(h, 0)], vec![(h, 7)]),
             );
         }
-        o.report(Violation::SpecMismatch {
-            seq: None,
-            trap: "vcpu_run".into(),
-            component: format!("vm[{h}]"),
-            uniq: None,
-            diff: "d".into(),
+        o.report(Violation {
+            trap: Some("vcpu_run".into()),
+            ..Violation::about(
+                GhostKey::Comp(Component::Vm(h)),
+                ViolationKind::SpecMismatch { diff: "d".into() },
+            )
         });
         let v = &o.violations()[0];
-        assert_eq!(v.vm_uniq(), Some(7));
+        assert_eq!(v.uniq, Some(7));
         let line = v.to_string();
         assert!(
             line.starts_with("violation kind=spec-mismatch trap=vcpu_run comp=vm[4096] uniq=7"),
@@ -2713,20 +2668,12 @@ mod tests {
     #[test]
     fn interleaved_findings_are_dropped_and_counted_the_rest_kept() {
         let h: Handle = 0x1000;
-        let mut host = GhostHost::default();
-        host.annot.insert_new(Maplet {
-            ia: 0x4400_0000,
-            nr_pages: 1,
-            target: MapletTarget::Annotated {
-                owner: pkvm_hyp::owner::OwnerId::HYP,
-            },
-        });
-        for interleaved in [&[][..], &[Component::Host]] {
+        for interleaved in [&[][..], &[Component::VmTable]] {
             let o = oracle();
             let mut rec = o.cpus[0].lock();
-            // An SMC changes nothing, yet both the host and the VM moved.
-            rec.pre.host = Some(GhostHost::default());
-            rec.post.host = Some(host.clone());
+            // An SMC changes nothing, yet both the VM table and the VM moved.
+            rec.pre.vm_table = Some(Vec::new());
+            rec.post.vm_table = Some(vec![(h, 0)]);
             rec.pre.vms.insert(h, ghost_vm(h, &[]));
             rec.post.vms.insert(h, ghost_vm(h, &[0x44007]));
             rec.interleaved.extend(interleaved);
@@ -2737,15 +2684,11 @@ mod tests {
             let skips = o.stats_snapshot().interleaved_skips;
             assert_eq!(vs.len(), 2 - interleaved.len(), "{vs:?}");
             assert_eq!(skips, interleaved.len() as u64);
-            // The VM's finding survives either way, under its own key.
-            assert!(
-                matches!(
-                    vs.last(),
-                    Some(Violation::UnexpectedChange { trap, component, .. })
-                        if trap == "smc" && component == "vm[4096]"
-                ),
-                "{vs:?}"
-            );
+            // The VM's finding survives either way, under its typed key.
+            let kept = vs.last().unwrap();
+            assert_eq!(kept.kind(), "unexpected-change");
+            assert_eq!(kept.trap.as_deref(), Some("smc"));
+            assert_eq!(kept.subject, Some(GhostKey::Comp(Component::Vm(h)).into()));
         }
     }
 
@@ -2757,10 +2700,9 @@ mod tests {
         // Force the inconsistent recording a dropped trap_enter leaves.
         o.fronts[0].lock().in_trap = true;
         o.trap_exit(&ctx, &GprFile::default(), None);
-        assert!(matches!(
-            &o.violations()[0],
-            Violation::OracleSelfCheck { context, .. } if context == "trap_exit"
-        ));
+        let v = &o.violations()[0];
+        assert_eq!(v.kind(), "oracle-self-check");
+        assert_eq!(v.subject, Some(Subject::Name("trap_exit".into())));
     }
 
     #[test]
@@ -2844,12 +2786,11 @@ mod tests {
         let vs = bbm_violations(&o);
         assert_eq!(vs.len(), 1, "{vs:?}");
         match &vs[0] {
-            Violation::BreakBeforeMake {
+            Violation {
                 seq,
-                trap,
-                vmid,
-                ia,
-                nr,
+                trap: Some(trap),
+                kind: ViolationKind::BreakBeforeMake { vmid, ia, nr },
+                ..
             } => {
                 assert!(seq.is_some(), "anchored on the downgrade event");
                 assert!(!trap.is_empty());
@@ -2920,11 +2861,10 @@ mod tests {
         let vs = o.violations();
         assert_eq!(vs.len(), 1, "{vs:?}");
         match &vs[0] {
-            Violation::TransferProtocol {
+            Violation {
                 seq,
-                edge,
-                pfn,
-                detail,
+                kind: ViolationKind::TransferProtocol { edge, pfn, detail },
+                ..
             } => {
                 assert!(seq.is_some(), "anchored on the transfer event");
                 assert_eq!(*edge, TransferEdge::ShareHyp);
@@ -2947,9 +2887,10 @@ mod tests {
         assert!(
             matches!(
                 &vs[0],
-                Violation::ReclaimWipe {
+                Violation {
                     seq: Some(_),
-                    pfn: 0x200
+                    kind: ViolationKind::ReclaimWipe { pfn: 0x200 },
+                    ..
                 }
             ),
             "{vs:?}"
@@ -2970,11 +2911,11 @@ mod tests {
         let vs = o.violations();
         assert_eq!(vs.len(), 1, "{vs:?}");
         match &vs[0] {
-            Violation::FirmwareProtection {
+            Violation {
                 seq,
-                handle,
-                uniq,
-                pfn,
+                uniq: Some(uniq),
+                kind: ViolationKind::FirmwareProtection { handle, pfn },
+                ..
             } => {
                 assert!(seq.is_some(), "anchored on the regain event");
                 assert_eq!((*handle, *uniq, *pfn), (0x1000, 7, 0x400));
@@ -3011,10 +2952,12 @@ mod tests {
         assert!(
             matches!(
                 &vs[0],
-                Violation::FirmwareProtection {
-                    handle: 0x1000,
-                    uniq: 3,
-                    pfn: 0x40600,
+                Violation {
+                    uniq: Some(3),
+                    kind: ViolationKind::FirmwareProtection {
+                        handle: 0x1000,
+                        pfn: 0x40600,
+                    },
                     ..
                 }
             ),

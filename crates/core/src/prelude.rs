@@ -7,7 +7,7 @@
 //! importing the prelude keeps compiling as the crate grows.
 
 pub use crate::abscache::CacheStats;
-pub use crate::check::Violation;
+pub use crate::check::{Subject, Violation, ViolationKind};
 pub use crate::checker::{CheckMode, Checker, StatsSnapshot, Verdict};
 pub use crate::oracle::{Oracle, OracleOpts, OracleOptsBuilder, TrapOutcome, TrapRecord};
 pub use crate::spec::SpecVerdict;

@@ -180,10 +180,10 @@ pub struct GhostCpu {
 /// [`Component`] alone.
 ///
 /// `Display` gives the spec's component names (`host`, `pkvm`,
-/// `vm_table`, `vm[<handle>]`, `locals[<cpu>]`), the `component` string
-/// of spec-mismatch, unexpected-change and non-interference
-/// [`Violation`](crate::check::Violation)s; [`GhostKey::parse`] reads
-/// such a string back.
+/// `vm_table`, `vm[<handle>]`, `locals[<cpu>]`), as a
+/// [`Violation`](crate::check::Violation)'s `comp=` field renders a
+/// [`Subject::Part`](crate::check::Subject::Part); [`GhostKey::parse`]
+/// reads such a string back.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum GhostKey {
     /// A lock-protected component.
@@ -194,7 +194,10 @@ pub enum GhostKey {
 
 impl GhostKey {
     /// Parses a component name as `Display` renders it; `None` for
-    /// anything else.
+    /// anything else. Its one caller is
+    /// [`Subject::named`](crate::check::Subject::named), through which
+    /// every report name (the trace decoder's included) becomes a
+    /// subject.
     pub fn parse(name: &str) -> Option<GhostKey> {
         let index = |prefix: &str| name.strip_prefix(prefix)?.strip_suffix(']');
         match name {

@@ -479,7 +479,8 @@ fn catches_bug4_host_fault_race_panic() {
     assert!(r.machine.panicked().is_some());
     let vs = r.oracle.violations();
     assert!(
-        vs.iter().any(|v| matches!(v, Violation::HypPanic { .. })),
+        vs.iter()
+            .any(|v| matches!(v.kind, ViolationKind::HypPanic { .. })),
         "oracle missed the hypervisor panic: {}",
         render(&vs)
     );
@@ -559,7 +560,7 @@ fn noninterference_check_catches_silent_table_edits() {
     let vs = r.oracle.violations();
     assert!(
         vs.iter()
-            .any(|v| matches!(v, Violation::NonInterference { .. })),
+            .any(|v| matches!(v.kind, ViolationKind::NonInterference { .. })),
         "non-interference check missed the edit: {}",
         render(&vs)
     );

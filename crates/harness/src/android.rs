@@ -266,7 +266,7 @@ pub fn all() -> Vec<Scenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pkvm_ghost::Violation;
+    use pkvm_ghost::ViolationKind;
     use pkvm_hyp::faults::{Fault, FaultSet};
 
     #[test]
@@ -300,7 +300,7 @@ mod tests {
         assert!(
             violations
                 .iter()
-                .any(|v| matches!(v, Violation::FirmwareProtection { .. })),
+                .any(|v| matches!(v.kind, ViolationKind::FirmwareProtection { .. })),
             "firmware reclaim went unnoticed: {violations:?}"
         );
     }

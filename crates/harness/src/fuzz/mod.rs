@@ -56,6 +56,9 @@ pub use mutate::MutationKind;
 pub use schedule::Scheduler;
 pub use triage::{CrashEntry, CrashSig, Triage};
 
+/// Fresh-machine replays spent minimizing each new crash family.
+pub const MINIMIZE_BUDGET: usize = 64;
+
 /// Fuzzer configuration. Construct with [`FuzzCfg::builder`].
 #[derive(Clone, Debug)]
 #[non_exhaustive]
@@ -93,8 +96,6 @@ pub struct FuzzCfg {
     pub oracle_opts: OracleOpts,
     /// Faults injected into every execution, as raw [`FaultSet`] bits.
     pub fault_bits: u32,
-    /// Fresh-machine replays spent minimizing each new crash family.
-    pub minimize_budget: usize,
     /// Stop all workers once the first crash family is found (for
     /// time-to-detection measurements).
     pub stop_on_violation: bool,
@@ -117,7 +118,6 @@ impl Default for FuzzCfg {
             config: MachineConfig::default(),
             oracle_opts: OracleOpts::default(),
             fault_bits: 0,
-            minimize_budget: 64,
             stop_on_violation: false,
         }
     }
@@ -219,12 +219,6 @@ impl FuzzCfgBuilder {
     /// Injects `faults` into every execution.
     pub fn faults(mut self, faults: &FaultSet) -> Self {
         self.0.fault_bits = faults.bits();
-        self
-    }
-
-    /// Caps minimization replays per crash family.
-    pub fn minimize_budget(mut self, n: usize) -> Self {
-        self.0.minimize_budget = n;
         self
     }
 
@@ -346,7 +340,7 @@ impl Fuzzer {
     /// session.
     pub fn new(cfg: FuzzCfg) -> Fuzzer {
         let corpus = Corpus::new(cfg.corpus_dir.clone());
-        let triage = Triage::new(cfg.crashes_dir.clone(), cfg.minimize_budget);
+        let triage = Triage::new(cfg.crashes_dir.clone(), MINIMIZE_BUDGET);
         Fuzzer {
             cfg,
             shared: Mutex::new(Shared {

@@ -114,7 +114,7 @@ impl Triage {
     /// reached for the violating trap, the last (deepest) one becomes the
     /// diverging point.
     pub fn signature(v: &Violation, spec_delta: &Report) -> CrashSig {
-        let spec_point = v.trap().and_then(|t| {
+        let spec_point = v.trap.as_deref().and_then(|t| {
             let prefix = format!("spec/{t}/");
             spec_delta
                 .points
@@ -125,7 +125,7 @@ impl Triage {
         });
         CrashSig {
             kind: v.kind(),
-            component: v.component().map(str::to_string),
+            component: v.subject.as_ref().map(ToString::to_string),
             spec_point,
         }
     }
@@ -245,7 +245,7 @@ mod tests {
     fn signature_names_the_diverging_spec_point() {
         let (_, violations) = violating_trace();
         let v = &violations[0];
-        let trap = v.trap().expect("share violation names its trap");
+        let trap = v.trap.as_deref().expect("share violation names its trap");
         let point: &'static str = "spec/host_share_hyp/check";
         let delta = Report {
             points: vec![(point, 3)],

@@ -49,6 +49,12 @@ pub const DEFAULT_OP_WEIGHTS: [f64; OP_NAMES.len()] = [
     20.0, 25.0, 15.0, 6.0, 8.0, 8.0, 5.0, 10.0, 12.0, 12.0, 4.0, 3.0, 6.0, 15.0, 2.0, 1.0,
 ];
 
+/// Cap on VMs the tester keeps alive at once.
+pub const MAX_VMS: usize = 4;
+
+/// Cap on pages the tester allocates.
+pub const MAX_PAGES: usize = 512;
+
 /// Random tester configuration.
 #[derive(Clone, Debug)]
 pub struct RandomCfg {
@@ -56,10 +62,6 @@ pub struct RandomCfg {
     pub seed: u64,
     /// Fraction of steps that issue arbitrary (fuzzed) calls.
     pub invalid_fraction: f64,
-    /// Cap on simultaneously live VMs.
-    pub max_vms: usize,
-    /// Cap on pages the tester allocates.
-    pub max_pages: usize,
     /// Pin every issued call to this CPU (campaign workers set it so each
     /// worker drives its own simulated hardware thread).
     pub pin_cpu: Option<usize>,
@@ -75,8 +77,6 @@ impl Default for RandomCfg {
         Self {
             seed: 0xdeadbeef,
             invalid_fraction: 0.15,
-            max_vms: 4,
-            max_pages: 512,
             pin_cpu: None,
             op_weights: DEFAULT_OP_WEIGHTS,
         }
@@ -104,18 +104,6 @@ impl RandomCfgBuilder {
     /// Sets the fraction of fuzzed (arbitrary-argument) steps.
     pub fn invalid_fraction(mut self, f: f64) -> Self {
         self.0.invalid_fraction = f;
-        self
-    }
-
-    /// Caps simultaneously live VMs.
-    pub fn max_vms(mut self, n: usize) -> Self {
-        self.0.max_vms = n;
-        self
-    }
-
-    /// Caps pages the tester allocates.
-    pub fn max_pages(mut self, n: usize) -> Self {
-        self.0.max_pages = n;
         self
     }
 
@@ -325,7 +313,7 @@ impl RandomTester {
     }
 
     fn op_alloc(&mut self) {
-        if self.model.pages.len() >= self.cfg.max_pages {
+        if self.model.pages.len() >= MAX_PAGES {
             return;
         }
         let Some(pfn) = self.proxy.try_alloc_pages(1) else {
@@ -362,7 +350,7 @@ impl RandomTester {
     }
 
     fn op_init_vm(&mut self) {
-        if self.model.vms.len() >= self.cfg.max_vms {
+        if self.model.vms.len() >= MAX_VMS {
             return;
         }
         let nr_vcpus = self.rng.gen_range(1..=2u64);
@@ -641,7 +629,7 @@ impl RandomTester {
         // pvmfw-style protected boot: donate a small firmware region into
         // a protected VM before any vCPU is initialised. The host loses
         // the pages permanently, even across teardown.
-        if self.model.pages.len() >= self.cfg.max_pages {
+        if self.model.pages.len() >= MAX_PAGES {
             return;
         }
         let candidates: Vec<u32> = self

@@ -40,7 +40,7 @@ use pkvm_aarch64::walk::Access;
 use pkvm_ghost::abstraction::Anomaly;
 use pkvm_ghost::event::{ChaosKind, Event, EventRecord};
 use pkvm_ghost::oracle::{OracleOpts, TrapOutcome};
-use pkvm_ghost::Violation;
+use pkvm_ghost::{Subject, Violation, ViolationKind};
 use pkvm_hyp::hooks::{Component, TransferEdge};
 use pkvm_hyp::machine::MachineConfig;
 use pkvm_hyp::vm::GuestOp;
@@ -162,6 +162,36 @@ impl TraceHeader {
     }
 }
 
+/// A violation record's kind tag.
+fn violation_tag(kind: &ViolationKind) -> u8 {
+    match kind {
+        ViolationKind::SpecMismatch { .. } => 0,
+        ViolationKind::UnexpectedChange { .. } => 1,
+        ViolationKind::NonInterference { .. } => 2,
+        ViolationKind::SeparationOverlap { .. } => 3,
+        ViolationKind::AbstractionAnomaly { .. } => 4,
+        ViolationKind::HypPanic { .. } => 5,
+        ViolationKind::OracleSelfCheck { .. } => 6,
+        ViolationKind::ShadowDivergence { .. } => 7,
+        ViolationKind::OracleInternal { .. } => 8,
+        ViolationKind::BreakBeforeMake { .. } => 9,
+        ViolationKind::FirmwareProtection { .. } => 10,
+        ViolationKind::TransferProtocol { .. } => 11,
+        ViolationKind::ReclaimWipe { .. } => 12,
+    }
+}
+
+/// Which header fields a violation record of kind `tag` carries after its
+/// `seq`, in wire order: `(trap, subject, uniq)`. The kind's payload
+/// follows them.
+fn violation_header(tag: u8) -> (bool, bool, bool) {
+    (
+        matches!(tag, 0 | 1 | 9),
+        matches!(tag, 0..=4 | 6..=8),
+        tag <= 2,
+    )
+}
+
 // ---------------------------------------------------------------- encode
 
 struct Wr(Vec<u8>);
@@ -259,147 +289,55 @@ impl Wr {
     }
 
     fn violation(&mut self, v: &Violation) {
-        match v {
-            Violation::SpecMismatch {
-                seq,
-                trap,
-                component,
-                uniq,
-                diff,
-            } => {
-                self.byte(0);
-                self.opt_u64(*seq);
-                self.str(trap);
-                self.str(component);
-                self.opt_u64(*uniq);
-                self.str(diff);
-            }
-            Violation::UnexpectedChange {
-                seq,
-                trap,
-                component,
-                uniq,
-                diff,
-            } => {
-                self.byte(1);
-                self.opt_u64(*seq);
-                self.str(trap);
-                self.str(component);
-                self.opt_u64(*uniq);
-                self.str(diff);
-            }
-            Violation::NonInterference {
-                seq,
-                component,
-                uniq,
-                diff,
-            } => {
-                self.byte(2);
-                self.opt_u64(*seq);
-                self.str(component);
-                self.opt_u64(*uniq);
-                self.str(diff);
-            }
-            Violation::SeparationOverlap {
-                seq,
-                component,
-                pfn,
-                owner,
-            } => {
-                self.byte(3);
-                self.opt_u64(*seq);
-                self.str(component);
+        let tag = violation_tag(&v.kind);
+        let (trap, subject, uniq) = violation_header(tag);
+        self.byte(tag);
+        self.opt_u64(v.seq);
+        if trap {
+            self.str(v.trap.as_deref().unwrap_or_default());
+        }
+        if subject {
+            self.str(
+                &v.subject
+                    .as_ref()
+                    .map(Subject::to_string)
+                    .unwrap_or_default(),
+            );
+        }
+        if uniq {
+            self.opt_u64(v.uniq);
+        }
+        match &v.kind {
+            ViolationKind::SpecMismatch { diff: text }
+            | ViolationKind::UnexpectedChange { diff: text }
+            | ViolationKind::NonInterference { diff: text }
+            | ViolationKind::ShadowDivergence { diff: text }
+            | ViolationKind::HypPanic { reason: text }
+            | ViolationKind::OracleSelfCheck { detail: text }
+            | ViolationKind::OracleInternal { payload: text } => self.str(text),
+            ViolationKind::SeparationOverlap { pfn, owner } => {
                 self.u64(*pfn);
                 self.str(owner);
             }
-            Violation::AbstractionAnomaly {
-                seq,
-                context,
-                anomaly,
-            } => {
-                self.byte(4);
-                self.opt_u64(*seq);
-                self.str(context);
-                self.anomaly(anomaly);
-            }
-            Violation::HypPanic { seq, reason } => {
-                self.byte(5);
-                self.opt_u64(*seq);
-                self.str(reason);
-            }
-            Violation::OracleSelfCheck {
-                seq,
-                context,
-                detail,
-            } => {
-                self.byte(6);
-                self.opt_u64(*seq);
-                self.str(context);
-                self.str(detail);
-            }
-            Violation::ShadowDivergence {
-                seq,
-                component,
-                diff,
-            } => {
-                self.byte(7);
-                self.opt_u64(*seq);
-                self.str(component);
-                self.str(diff);
-            }
-            Violation::OracleInternal {
-                seq,
-                component,
-                payload,
-            } => {
-                self.byte(8);
-                self.opt_u64(*seq);
-                self.str(component);
-                self.str(payload);
-            }
-            Violation::BreakBeforeMake {
-                seq,
-                trap,
-                vmid,
-                ia,
-                nr,
-            } => {
-                self.byte(9);
-                self.opt_u64(*seq);
-                self.str(trap);
+            ViolationKind::AbstractionAnomaly { anomaly } => self.anomaly(anomaly),
+            ViolationKind::BreakBeforeMake { vmid, ia, nr } => {
                 self.u64(*vmid as u64);
                 self.u64(*ia);
                 self.u64(*nr);
             }
-            Violation::FirmwareProtection {
-                seq,
-                handle,
-                uniq,
-                pfn,
-            } => {
-                self.byte(10);
-                self.opt_u64(*seq);
+            ViolationKind::FirmwareProtection { handle, pfn } => {
+                // The incarnation is not optional here: a firmware page
+                // always belongs to one.
                 self.u64(*handle as u64);
-                self.u64(*uniq);
+                self.u64(v.uniq.unwrap_or_default());
                 self.u64(*pfn);
             }
-            Violation::TransferProtocol {
-                seq,
-                edge,
-                pfn,
-                detail,
-            } => {
-                self.byte(11);
-                self.opt_u64(*seq);
+            ViolationKind::TransferProtocol { edge, pfn, detail } => {
                 self.byte(*edge as u8);
                 self.u64(*pfn);
                 self.str(detail);
             }
-            Violation::ReclaimWipe { seq, pfn } => {
-                self.byte(12);
-                self.opt_u64(*seq);
-                self.u64(*pfn);
-            }
+            ViolationKind::ReclaimWipe { pfn } => self.u64(*pfn),
         }
     }
 
@@ -816,82 +754,64 @@ impl<'a> Rd<'a> {
     }
 
     fn violation(&mut self) -> Res<Violation> {
-        Ok(match self.byte()? {
-            0 => Violation::SpecMismatch {
-                seq: self.opt_u64()?,
-                trap: self.str()?,
-                component: self.str()?,
-                uniq: self.opt_u64()?,
-                diff: self.str()?,
-            },
-            1 => Violation::UnexpectedChange {
-                seq: self.opt_u64()?,
-                trap: self.str()?,
-                component: self.str()?,
-                uniq: self.opt_u64()?,
-                diff: self.str()?,
-            },
-            2 => Violation::NonInterference {
-                seq: self.opt_u64()?,
-                component: self.str()?,
-                uniq: self.opt_u64()?,
-                diff: self.str()?,
-            },
-            3 => Violation::SeparationOverlap {
-                seq: self.opt_u64()?,
-                component: self.str()?,
+        let tag = self.byte()?;
+        if tag > 12 {
+            return Err(TraceFileError::Malformed("unknown violation tag"));
+        }
+        let (trap, subject, uniq) = violation_header(tag);
+        let seq = self.opt_u64()?;
+        let trap = trap.then(|| self.str()).transpose()?;
+        let subject = subject.then(|| self.str()).transpose()?.map(Subject::named);
+        let mut uniq = uniq.then(|| self.opt_u64()).transpose()?.flatten();
+        let kind = match tag {
+            0 => ViolationKind::SpecMismatch { diff: self.str()? },
+            1 => ViolationKind::UnexpectedChange { diff: self.str()? },
+            2 => ViolationKind::NonInterference { diff: self.str()? },
+            3 => ViolationKind::SeparationOverlap {
                 pfn: self.u64()?,
                 owner: self.str()?,
             },
-            4 => Violation::AbstractionAnomaly {
-                seq: self.opt_u64()?,
-                context: self.str()?,
+            4 => ViolationKind::AbstractionAnomaly {
                 anomaly: self.anomaly()?,
             },
-            5 => Violation::HypPanic {
-                seq: self.opt_u64()?,
+            5 => ViolationKind::HypPanic {
                 reason: self.str()?,
             },
-            6 => Violation::OracleSelfCheck {
-                seq: self.opt_u64()?,
-                context: self.str()?,
+            6 => ViolationKind::OracleSelfCheck {
                 detail: self.str()?,
             },
-            7 => Violation::ShadowDivergence {
-                seq: self.opt_u64()?,
-                component: self.str()?,
-                diff: self.str()?,
-            },
-            8 => Violation::OracleInternal {
-                seq: self.opt_u64()?,
-                component: self.str()?,
+            7 => ViolationKind::ShadowDivergence { diff: self.str()? },
+            8 => ViolationKind::OracleInternal {
                 payload: self.str()?,
             },
-            9 => Violation::BreakBeforeMake {
-                seq: self.opt_u64()?,
-                trap: self.str()?,
+            9 => ViolationKind::BreakBeforeMake {
                 vmid: u16::try_from(self.u64()?)
                     .map_err(|_| TraceFileError::Malformed("vmid out of range"))?,
                 ia: self.u64()?,
                 nr: self.u64()?,
             },
-            10 => Violation::FirmwareProtection {
-                seq: self.opt_u64()?,
-                handle: self.u32()?,
-                uniq: self.u64()?,
-                pfn: self.u64()?,
-            },
-            11 => Violation::TransferProtocol {
-                seq: self.opt_u64()?,
+            10 => {
+                let handle = self.u32()?;
+                uniq = Some(self.u64()?);
+                ViolationKind::FirmwareProtection {
+                    handle,
+                    pfn: self.u64()?,
+                }
+            }
+            11 => ViolationKind::TransferProtocol {
                 edge: self.transfer_edge()?,
                 pfn: self.u64()?,
                 detail: self.str()?,
             },
-            12 => Violation::ReclaimWipe {
-                seq: self.opt_u64()?,
-                pfn: self.u64()?,
-            },
-            _ => return Err(TraceFileError::Malformed("unknown violation tag")),
+            // 12: larger tags were refused above.
+            _ => ViolationKind::ReclaimWipe { pfn: self.u64()? },
+        };
+        Ok(Violation {
+            seq,
+            trap,
+            subject,
+            uniq,
+            kind,
         })
     }
 
@@ -987,7 +907,7 @@ impl<'a> Rd<'a> {
                     _ => return Err(TraceFileError::Malformed("unknown outcome tag")),
                 },
             },
-            13 => Event::Violation(self.violation()?),
+            13 => Event::Violation(Box::new(self.violation()?)),
             14 => Event::CorruptMem {
                 pa: self.u64()?,
                 value: self.u64()?,
@@ -1541,8 +1461,10 @@ mod tests {
     #[test]
     fn android_surface_events_round_trip() {
         // The Android-surface records in one trace: every transfer edge, a
-        // firmware donation, a host regain, and the three Android-surface
-        // violations, under non-default oracle switches.
+        // firmware donation and a host regain, under non-default oracle
+        // switches. (Every violation kind's record, the three
+        // Android-surface ones included, is pinned byte for byte in
+        // tests/violation_report.rs.)
         let mut events: Vec<EventRecord> = Vec::new();
         let push = |events: &mut Vec<EventRecord>, event: Event| {
             let seq = events.len() as u64;
@@ -1583,31 +1505,6 @@ mod tests {
                 pfn: 0x300,
                 nr: 1,
             },
-        );
-        push(
-            &mut events,
-            Event::Violation(Violation::FirmwareProtection {
-                seq: Some(3),
-                handle: 0x1001,
-                uniq: 7,
-                pfn: 0x200,
-            }),
-        );
-        push(
-            &mut events,
-            Event::Violation(Violation::TransferProtocol {
-                seq: Some(4),
-                edge: TransferEdge::ShareHyp,
-                pfn: 0x100,
-                detail: "departed from state host_owned".to_string(),
-            }),
-        );
-        push(
-            &mut events,
-            Event::Violation(Violation::ReclaimWipe {
-                seq: Some(5),
-                pfn: 0x101,
-            }),
         );
         let trace = CampaignTrace {
             config: MachineConfig::default(),

@@ -595,7 +595,7 @@ fn vm_lifecycle_sequences_stay_clean() {
 /// randomized hypercall sequences run with shadow validation on, so every
 /// lock event computes both — the interpretation and, for the host, the
 /// memoised `annot`/`shared` partition — and any divergence is reported
-/// as a [`ShadowDivergence`](pkvm_repro::prelude::Violation::ShadowDivergence)
+/// as a [`ShadowDivergence`](pkvm_repro::prelude::ViolationKind::ShadowDivergence)
 /// violation, of which there must be none. The default and the Android op
 /// mixes both run, long enough for VM churn and table growth, and the
 /// cache must actually serve descriptor-granular replays (otherwise the
@@ -621,7 +621,7 @@ fn incremental_abstraction_matches_full_walk() {
             let divergences: Vec<_> = oracle
                 .violations()
                 .into_iter()
-                .filter(|v| matches!(v, Violation::ShadowDivergence { .. }))
+                .filter(|v| matches!(v.kind, ViolationKind::ShadowDivergence { .. }))
                 .collect();
             let case = format!("seed {seed}, android {android}");
             assert!(divergences.is_empty(), "{case}:\n{divergences:#?}");

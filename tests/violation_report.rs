@@ -8,93 +8,101 @@
 use pkvm_repro::ghost::abstraction::Anomaly;
 use pkvm_repro::ghost::event::{novelty_signature, Event, EventRecord};
 use pkvm_repro::ghost::oracle::OracleOpts;
+use pkvm_repro::ghost::state::GhostKey;
 use pkvm_repro::harness::campaign::CampaignTrace;
 use pkvm_repro::harness::tracefile::{decode_trace, encode_trace, FORMAT_VERSION};
-use pkvm_repro::hyp::hooks::TransferEdge;
+use pkvm_repro::hyp::hooks::{Component, TransferEdge};
 use pkvm_repro::hyp::machine::MachineConfig;
-use pkvm_repro::prelude::Violation;
+use pkvm_repro::prelude::{Violation, ViolationKind};
 
 /// One report of every kind, in the codec's tag order, each with the
-/// header fields its kind carries set (one `seq` left unset).
+/// header fields its kind carries set (the `seq`s are 41 up, the seventh
+/// left unset).
 fn reports() -> Vec<Violation> {
-    vec![
-        Violation::SpecMismatch {
-            seq: Some(41),
-            trap: "host_share_hyp".into(),
-            component: "host".into(),
-            uniq: None,
-            diff: "- a\n+ b".into(),
+    let vm = |h| GhostKey::Comp(Component::Vm(h));
+    let mut reports = vec![
+        Violation {
+            trap: Some("host_share_hyp".into()),
+            ..Violation::about(
+                GhostKey::Comp(Component::Host),
+                ViolationKind::SpecMismatch {
+                    diff: "- a\n+ b".into(),
+                },
+            )
         },
-        Violation::UnexpectedChange {
-            seq: Some(42),
-            trap: "vcpu_run".into(),
-            component: "vm[4096]".into(),
+        Violation {
+            trap: Some("vcpu_run".into()),
             uniq: Some(7),
-            diff: "d".into(),
+            ..Violation::about(
+                vm(4096),
+                ViolationKind::UnexpectedChange { diff: "d".into() },
+            )
         },
-        Violation::NonInterference {
-            seq: Some(43),
-            component: "vm[4097]".into(),
+        Violation {
             uniq: Some(8),
-            diff: "n".into(),
+            ..Violation::about(
+                vm(4097),
+                ViolationKind::NonInterference { diff: "n".into() },
+            )
         },
-        Violation::SeparationOverlap {
-            seq: Some(44),
-            component: "Vm(4096)".into(),
-            pfn: 0x44020,
-            owner: "Host".into(),
-        },
-        Violation::AbstractionAnomaly {
-            seq: Some(45),
-            context: "Host".into(),
-            anomaly: Anomaly::HostNotIdentity {
-                ia: 0x4000_0000,
-                oa: 0x4000_1000,
+        Violation::about(
+            "Vm(4096)",
+            ViolationKind::SeparationOverlap {
+                pfn: 0x44020,
+                owner: "Host".into(),
             },
-        },
-        Violation::HypPanic {
-            seq: Some(46),
+        ),
+        Violation::about(
+            "Host",
+            ViolationKind::AbstractionAnomaly {
+                anomaly: Anomaly::HostNotIdentity {
+                    ia: 0x4000_0000,
+                    oa: 0x4000_1000,
+                },
+            },
+        ),
+        Violation::new(ViolationKind::HypPanic {
             reason: "BUG()".into(),
+        }),
+        Violation::about(
+            "trap_exit",
+            ViolationKind::OracleSelfCheck {
+                detail: "no recorded call data (trap_enter not delivered?)".into(),
+            },
+        ),
+        Violation::about("Hyp", ViolationKind::ShadowDivergence { diff: "s".into() }),
+        Violation::about(
+            vm(4096),
+            ViolationKind::OracleInternal {
+                payload: "boom".into(),
+            },
+        ),
+        Violation {
+            trap: Some("host_unshare_hyp".into()),
+            ..Violation::new(ViolationKind::BreakBeforeMake {
+                vmid: 1,
+                ia: 0x8000,
+                nr: 2,
+            })
         },
-        Violation::OracleSelfCheck {
-            seq: None,
-            context: "trap_exit".into(),
-            detail: "no recorded call data (trap_enter not delivered?)".into(),
+        Violation {
+            uniq: Some(7),
+            ..Violation::new(ViolationKind::FirmwareProtection {
+                handle: 0x1001,
+                pfn: 0x200,
+            })
         },
-        Violation::ShadowDivergence {
-            seq: Some(48),
-            component: "Hyp".into(),
-            diff: "s".into(),
-        },
-        Violation::OracleInternal {
-            seq: Some(49),
-            component: "vm[4096]".into(),
-            payload: "boom".into(),
-        },
-        Violation::BreakBeforeMake {
-            seq: Some(50),
-            trap: "host_unshare_hyp".into(),
-            vmid: 1,
-            ia: 0x8000,
-            nr: 2,
-        },
-        Violation::FirmwareProtection {
-            seq: Some(51),
-            handle: 0x1001,
-            uniq: 7,
-            pfn: 0x200,
-        },
-        Violation::TransferProtocol {
-            seq: Some(52),
+        Violation::new(ViolationKind::TransferProtocol {
             edge: TransferEdge::ShareHyp,
             pfn: 0x100,
             detail: "departed from state host_owned".into(),
-        },
-        Violation::ReclaimWipe {
-            seq: Some(53),
-            pfn: 0x101,
-        },
-    ]
+        }),
+        Violation::new(ViolationKind::ReclaimWipe { pfn: 0x101 }),
+    ];
+    for (i, v) in reports.iter_mut().enumerate() {
+        v.seq = (i != 6).then_some(41 + i as u64);
+    }
+    reports
 }
 
 /// The `Display` line of each report, in [`reports`] order.
@@ -145,7 +153,7 @@ fn record(i: usize, v: Violation) -> EventRecord {
         lane: 1,
         trap: Some(7),
         t_ns: 1234,
-        event: Event::Violation(v),
+        event: Event::Violation(Box::new(v)),
     }
 }
 
