@@ -161,4 +161,18 @@ for WORKLOAD in e12-random android-churn diff-matrix; do
     fi
 done
 
+echo "== perf trajectory (newest BENCH_*.json is correct and failure-free) =="
+# The newest committed trajectory point must hold, for every workload, an
+# oraclebench result object (one run per line) that says "correct": true
+# and "failed": 0.
+BENCH_FILE="$(ls BENCH_*.json | sort -V | tail -n 1)"
+for WORKLOAD in e12-random android-churn diff-matrix; do
+    RUN="$(grep "\"workload\": \"$WORKLOAD\"" "$BENCH_FILE" || true)"
+    if ! grep -q '"correct": true' <<<"$RUN" || ! grep -Eq '"failed": 0[,}]' <<<"$RUN"; then
+        echo "$BENCH_FILE holds no correct, failure-free $WORKLOAD run" >&2
+        exit 1
+    fi
+done
+echo "  $BENCH_FILE: correct and failure-free on all three workloads"
+
 echo "ci.sh: all green"

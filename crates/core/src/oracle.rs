@@ -1505,12 +1505,6 @@ impl fmt::Display for SpecKey<'_> {
     }
 }
 
-impl From<SpecKey<'_>> for Subject {
-    fn from(key: SpecKey<'_>) -> Subject {
-        Subject::named(key.to_string())
-    }
-}
-
 impl Oracle {
     /// The spec+check phase of `trap_exit` (runs contained). Reads the
     /// trap's recordings and reports through the bounded log; it never
@@ -1966,7 +1960,7 @@ impl Oracle {
         match contain(|| self.spec_and_check(cpu, &rec, &call, &name)) {
             Ok(()) => self.quarantine.record_success(spec_key),
             Err(payload) => {
-                let report = self.contained_panic(spec_key, payload);
+                let report = self.contained_panic(Subject::named(spec_key.to_string()), payload);
                 self.push_trace(
                     trap,
                     TrapRecord {
