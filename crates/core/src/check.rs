@@ -34,7 +34,8 @@ impl Subject {
     /// The one way a name becomes a subject: a ghost-part name (as
     /// [`GhostKey`]'s `Display` renders it) becomes that part, anything
     /// else stays a name. The trace decoder reads subjects through it
-    /// too, so a decoded report equals the encoded one.
+    /// too, so a decoded report equals the encoded one (given a header
+    /// that fits its kind's record, which the encoder debug-asserts).
     pub fn named(name: impl Into<String>) -> Subject {
         let name = name.into();
         match GhostKey::parse(&name) {
@@ -623,6 +624,46 @@ pub(crate) mod tests {
         let o = check_trap("init", &pre, &recorded, &computed);
         assert!(o.violations.is_empty());
         assert_eq!(o.deferred, vec![GhostKey::Comp(Component::Host)]);
+    }
+
+    #[test]
+    fn display_is_uniform_and_greppable() {
+        let v = Violation {
+            trap: Some("host_share_hyp".into()),
+            ..Violation::about("host", ViolationKind::SpecMismatch { diff: "d".into() })
+        };
+        assert!(
+            v.to_string().starts_with(
+                "violation kind=spec-mismatch trap=host_share_hyp comp=host uniq=- event=- ::"
+            ),
+            "{v}"
+        );
+        let mut v = Violation::about("vm[3]", ViolationKind::NonInterference { diff: "d".into() });
+        v.uniq = Some(42);
+        v.seq = Some(1234);
+        assert!(
+            v.to_string().starts_with(
+                "violation kind=non-interference trap=- comp=vm[3] uniq=42 event=1234 ::"
+            ),
+            "{v}"
+        );
+        // A seq set by the original timeline survives a re-report.
+        let s = crate::event::EventStream::new(false, 1);
+        s.violation(0, None, v);
+        assert_eq!(s.violations()[0].event_seq(), Some(1234));
+        let v = Violation::about(
+            Subject::Name("spec:vcpu_run".into()),
+            ViolationKind::OracleInternal {
+                payload: "boom".into(),
+            },
+        );
+        let s = v.to_string();
+        assert!(
+            s.starts_with(
+                "violation kind=oracle-internal trap=- comp=spec:vcpu_run uniq=- event=- ::"
+            ) && s.contains("boom"),
+            "{s}"
+        );
     }
 
     #[test]

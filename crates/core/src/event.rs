@@ -1135,17 +1135,6 @@ mod tests {
         // consumed a primary sequence number.
         assert!(s.is_empty());
         assert_eq!(s.emit(0, None, Event::TrapEnter { cpu: 0 }), 1);
-        // A replayed report keeps the seq of its own timeline.
-        let replayed = EventStream::new(false, 1);
-        replayed.violation(
-            0,
-            None,
-            Violation {
-                seq: Some(1234),
-                ..Violation::new(ViolationKind::HypPanic { reason: "p".into() })
-            },
-        );
-        assert_eq!(replayed.violations()[0].event_seq(), Some(1234));
     }
 
     /// Emits one fixed sequence of driver, hook, `Check` and `Violation`

@@ -291,6 +291,16 @@ impl Wr {
     fn violation(&mut self, v: &Violation) {
         let tag = violation_tag(&v.kind);
         let (trap, subject, uniq) = violation_header(tag);
+        // The record carries exactly the header its kind's layout has (a
+        // firmware record's incarnation is part of its payload), so a
+        // report that does not fit would not decode back to itself.
+        debug_assert!(
+            v.trap.is_some() == trap
+                && v.subject.is_some() == subject
+                && (uniq || v.uniq.is_some() == (tag == 10)),
+            "a {} report whose header does not fit its record layout: {v:?}",
+            v.kind()
+        );
         self.byte(tag);
         self.opt_u64(v.seq);
         if trap {
@@ -1461,10 +1471,8 @@ mod tests {
     #[test]
     fn android_surface_events_round_trip() {
         // The Android-surface records in one trace: every transfer edge, a
-        // firmware donation and a host regain, under non-default oracle
-        // switches. (Every violation kind's record, the three
-        // Android-surface ones included, is pinned byte for byte in
-        // tests/violation_report.rs.)
+        // firmware donation, a host regain, and the three Android-surface
+        // violations, under non-default oracle switches.
         let mut events: Vec<EventRecord> = Vec::new();
         let push = |events: &mut Vec<EventRecord>, event: Event| {
             let seq = events.len() as u64;
@@ -1506,6 +1514,25 @@ mod tests {
                 nr: 1,
             },
         );
+        let firmware = ViolationKind::FirmwareProtection {
+            handle: 0x1001,
+            pfn: 0x200,
+        };
+        let transfer = ViolationKind::TransferProtocol {
+            edge: TransferEdge::ShareHyp,
+            pfn: 0x100,
+            detail: "departed from state host_owned".to_string(),
+        };
+        let reclaim = ViolationKind::ReclaimWipe { pfn: 0x101 };
+        for (seq, kind) in (3..).zip([firmware, transfer, reclaim]) {
+            let uniq = (seq == 3).then_some(7);
+            let v = Violation {
+                seq: Some(seq),
+                uniq,
+                ..Violation::new(kind)
+            };
+            push(&mut events, Event::Violation(Box::new(v)));
+        }
         let trace = CampaignTrace {
             config: MachineConfig::default(),
             oracle_opts: OracleOpts::builder()
